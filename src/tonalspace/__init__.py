@@ -29,7 +29,6 @@ from .core import (
     combine,
     mag,
     phases,
-    scale,
     tiv_from_chroma,
     transpose,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "combine",
     "mag",
     "phases",
-    "scale",
     "tiv_from_chroma",
     "transpose",
     "HARTE_COEFFS",

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .core import N_BINS, _frozen
 from .errors import ChromaError, DegenerateInputError
@@ -67,8 +66,16 @@ class ChromaSequence:
 
 
 def _parse_rows(rows, path) -> np.ndarray:
-    """Validate (line_number, cells) pairs into an (N, 12) array."""
-    frames = []
+    """Validate (line_number, cells) pairs into an (N, 12) array in one
+    vectorised pass; only on failure does the row loop name the bad row."""
+    try:
+        frames = np.array([[float(cell) for cell in cells] for _, cells in rows])
+    except (TypeError, ValueError, OverflowError):
+        frames = None
+    if frames is not None and frames.shape[1:] == (N_BINS,):
+        if np.all(np.isfinite(frames) & (frames >= 0)):
+            return frames
+    # the loop raises on the first bad row; it only completes without rows
     for line_num, cells in rows:
         if len(cells) != N_BINS:
             raise ChromaError(
@@ -80,14 +87,13 @@ def _parse_rows(rows, path) -> np.ndarray:
             raise ChromaError(
                 f"{path}: row {line_num}: non-numeric chroma value"
             ) from None
+        except OverflowError:  # an integer beyond the float range
+            values = [np.inf]
         if not all(np.isfinite(values)):
             raise ChromaError(f"{path}: row {line_num}: non-finite chroma value")
         if any(v < 0 for v in values):
             raise ChromaError(f"{path}: row {line_num}: negative chroma value")
-        frames.append(values)
-    if not frames:
-        raise ChromaError(f"{path}: no chroma frames found")
-    return np.array(frames, dtype=float)
+    raise ChromaError(f"{path}: no chroma frames found")
 
 
 def _is_number(text: str) -> bool:
@@ -122,12 +128,15 @@ def load_chroma_csv(path) -> ChromaSequence:
     return ChromaSequence(_parse_rows(rows, path), frame_rate=None, source=str(path))
 
 
+def chroma_csv_text(seq: ChromaSequence) -> str:
+    """Chroma frames as headerless CSV text, full ``repr`` precision."""
+    return "".join(",".join(map(repr, frame)) + "\n" for frame in seq.frames.tolist())
+
+
 def save_chroma_csv(seq: ChromaSequence, path) -> None:
-    """Write chroma frames as headerless CSV, full ``repr`` precision."""
+    """Write ``chroma_csv_text(seq)`` to ``path``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for frame in seq.frames:
-            fh.write(",".join(repr(float(v)) for v in frame))
-            fh.write("\n")
+        fh.write(chroma_csv_text(seq))
 
 
 def load_chroma_json(path) -> ChromaSequence:
@@ -157,15 +166,17 @@ def load_chroma_json(path) -> ChromaSequence:
     return ChromaSequence(_parse_rows(rows, path), frame_rate=frame_rate, source=str(path))
 
 
+def chroma_json_text(seq: ChromaSequence) -> str:
+    """Chroma frames (and frame_rate when known) as JSON text."""
+    data = {} if seq.frame_rate is None else {"frame_rate": seq.frame_rate}
+    data["frames"] = seq.frames.tolist()
+    return json.dumps(data, indent=2) + "\n"
+
+
 def save_chroma_json(seq: ChromaSequence, path) -> None:
-    """Write chroma frames (and frame_rate when known) as JSON."""
-    data = {}
-    if seq.frame_rate is not None:
-        data["frame_rate"] = seq.frame_rate
-    data["frames"] = [[float(v) for v in frame] for frame in seq.frames]
+    """Write ``chroma_json_text(seq)`` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(chroma_json_text(seq))
 
 
 def global_chroma(seq: ChromaSequence, start=None, stop=None) -> np.ndarray:
@@ -245,6 +256,8 @@ def extract_chroma_wav(
         raise ChromaError("need 0 < fmin < fmax")
     if not ref_a4 > 0:
         raise ChromaError("reference A4 frequency must be positive")
+
+    from scipy.io import wavfile  # imported here: scipy.io is slow to import
 
     try:
         sample_rate, data = wavfile.read(path)

@@ -32,6 +32,8 @@ from .chroma import (
     DEFAULT_HOP_SIZE,
     DEFAULT_WINDOW_SIZE,
     ChromaSequence,
+    chroma_csv_text,
+    chroma_json_text,
     extract_chroma_wav,
     global_chroma,
     load_chroma_csv,
@@ -153,22 +155,6 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _tiv_json(t) -> dict:
-    return t.to_dict()
-
-
-def _chroma_text(seq: ChromaSequence, out_format: str) -> str:
-    if out_format == "csv":
-        return "".join(
-            ",".join(repr(float(v)) for v in frame) + "\n" for frame in seq.frames
-        )
-    data = {}
-    if seq.frame_rate is not None:
-        data["frame_rate"] = seq.frame_rate
-    data["frames"] = [[float(v) for v in frame] for frame in seq.frames]
-    return json.dumps(data, indent=2) + "\n"
-
-
 # ------------------------------------------------------------- subcommands
 
 
@@ -181,30 +167,27 @@ def cmd_analyze(args) -> int:
 
     seq, fmt = _load_sequence(args.input, args.format, args)
     seq = window_average(seq, args.window_avg)
-    tivs = [tiv_from_chroma(frame, weights) for frame in seq.frames]
-    n = len(tivs)
-
-    qualities = {
-        "chromaticity": [chromaticity(t) for t in tivs],
-        "diatonicity": [diatonicity(t) for t in tivs],
-        "wholetoneness": [wholetoneness(t) for t in tivs],
-        "dissonance": [dissonance(t) for t in tivs],
-    }
+    n = len(seq)
+    tivs = tiv_from_chroma(seq.frames, weights)
+    qualities = (chromaticity, diatonicity, wholetoneness, dissonance)
+    columns = [quality(tivs).tolist() for quality in qualities]
 
     if n >= 3:
         subset = HARTE_COEFFS if args.hchange_coeffs == "harte" else None
         series = harmonic_change(tivs, threshold=threshold, coeffs=subset)
-        lam = [float(v) for v in series.values]
-        peaks = [int(p) for p in series.peaks]
+        lam = series.values.tolist()
+        peaks = series.peaks.tolist()
     else:
         lam = [0.0] * n
         peaks = []
 
     g_tiv = tiv_from_chroma(global_chroma(seq), weights)
+    g_qualities = dict(zip(ANALYZE_COLUMNS[2:6], (q(g_tiv) for q in qualities)))
     key_result = None if g_tiv.is_silent else estimate_key(g_tiv, profiles)
+    key_json = None if key_result is None else key_result.to_dict()
 
     rate = seq.frame_rate
-    times = [None if rate is None else i / rate for i in range(n)]
+    times = [None] * n if rate is None else (np.arange(n) / rate).tolist()
     metadata = {
         "command": "analyze",
         "input": args.input,
@@ -222,91 +205,53 @@ def cmd_analyze(args) -> int:
     if args.out_format == "json":
         report = {
             "metadata": metadata,
-            "global": {
-                "tiv": _tiv_json(g_tiv),
-                "chromaticity": chromaticity(g_tiv),
-                "diatonicity": diatonicity(g_tiv),
-                "wholetoneness": wholetoneness(g_tiv),
-                "dissonance": dissonance(g_tiv),
-                "key": None if key_result is None else key_result.to_dict(),
-            },
+            "global": {"tiv": g_tiv.to_dict(), **g_qualities, "key": key_json},
             "hchange": {"lambda": lam, "peaks": peaks},
             "frames": [
-                {
-                    "frame": i,
-                    "time": times[i],
-                    "chromaticity": qualities["chromaticity"][i],
-                    "diatonicity": qualities["diatonicity"][i],
-                    "wholetoneness": qualities["wholetoneness"][i],
-                    "dissonance": qualities["dissonance"][i],
-                    "lambda": lam[i],
-                }
-                for i in range(n)
+                dict(zip(ANALYZE_COLUMNS, row))
+                for row in zip(range(n), times, *columns, lam)
             ],
         }
         _emit(json.dumps(report, indent=2) + "\n", args.out)
         return 0
 
     lines = [f"# {key}: {json.dumps(value)}" for key, value in metadata.items()]
-    lines.append(f"# global-tiv: {json.dumps(_tiv_json(g_tiv))}")
-    for kind in ("chromaticity", "diatonicity", "wholetoneness", "dissonance"):
-        value = {
-            "chromaticity": chromaticity,
-            "diatonicity": diatonicity,
-            "wholetoneness": wholetoneness,
-            "dissonance": dissonance,
-        }[kind](g_tiv)
-        lines.append(f"# global-{kind}: {repr(value)}")
-    key_json = None if key_result is None else key_result.to_dict()
+    lines.append(f"# global-tiv: {json.dumps(g_tiv.to_dict())}")
+    lines += [f"# global-{kind}: {value!r}" for kind, value in g_qualities.items()]
     lines.append(f"# key: {json.dumps(key_json)}")
     lines.append(f"# hchange-peaks: {json.dumps(peaks)}")
     lines.append(",".join(ANALYZE_COLUMNS))
-    for i in range(n):
-        time_cell = "" if times[i] is None else repr(times[i])
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    time_cell,
-                    repr(qualities["chromaticity"][i]),
-                    repr(qualities["diatonicity"][i]),
-                    repr(qualities["wholetoneness"][i]),
-                    repr(qualities["dissonance"][i]),
-                    repr(lam[i]),
-                ]
-            )
-        )
+    time_cells = [""] * n if rate is None else map(repr, times)
+    cells = (map(repr, column) for column in (*columns, lam))
+    lines += map(",".join, zip(map(str, range(n)), time_cells, *cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _global_tiv(path, args, weights):
+    seq, _ = _load_sequence(path, args.format, args)
+    return tiv_from_chroma(global_chroma(seq), weights)
 
 
 def cmd_key(args) -> int:
     weights = _parse_weights(args.weights)
     profiles = _resolve_profiles(args, weights)
-    seq, _ = _load_sequence(args.input, args.format, args)
-    t = tiv_from_chroma(global_chroma(seq), weights)
-    result = estimate_key(t, profiles)
+    result = estimate_key(_global_tiv(args.input, args, weights), profiles)
     sys.stdout.write(f"{result.index} {result.label}\n")
     return 0
 
 
 def cmd_combine(args) -> int:
     weights = _parse_weights(args.weights)
-    tivs = []
-    for path in args.inputs:
-        seq, _ = _load_sequence(path, args.format, args)
-        tivs.append(tiv_from_chroma(global_chroma(seq), weights))
+    tivs = [_global_tiv(path, args, weights) for path in args.inputs]
     mixed = tivs[0] if len(tivs) == 1 else combine(tivs)
-    _emit(json.dumps(_tiv_json(mixed), indent=2) + "\n", args.out)
+    _emit(json.dumps(mixed.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_distance(args) -> int:
     weights = _parse_weights(args.weights)
-    tivs = []
-    for path in (args.a, args.b):
-        seq, _ = _load_sequence(path, args.format, args)
-        tivs.append(tiv_from_chroma(global_chroma(seq), weights))
+    tivs = [_global_tiv(path, args, weights) for path in (args.a, args.b)]
     if args.metric == "euclid":
         value = euclid(*tivs)
     elif args.metric == "cosine":
@@ -326,7 +271,8 @@ def cmd_extract_chroma(args) -> int:
         fmax=args.fmax,
         ref_a4=args.a4,
     )
-    _emit(_chroma_text(seq, args.out_format), args.out)
+    render = chroma_csv_text if args.out_format == "csv" else chroma_json_text
+    _emit(render(seq), args.out)
     return 0
 
 

@@ -10,6 +10,15 @@ vectors can later be mixed in proportion to their loudness.
 
 All values are immutable after construction and all operations are pure,
 so they can be shared freely across threads.
+
+Batch shapes: ``tiv_from_chroma`` takes one (12,) chroma vector or an
+(N, 12) frame matrix and transforms every row in one FFT call.  One vector
+is a ``Tiv`` with ``coeffs`` of shape (6,) and a float ``energy``; a batch
+is a ``Tiv`` with (N, 6) ``coeffs`` and an (N,) ``energy`` array.  The
+one-vector ``Tiv`` is the N = 1 case: ``batch[i]`` is the vector of row i,
+bit-identical to transforming that row alone.  Functions of vectors
+(``mag``, ``phases``, ``transpose`` and the descriptors) act row-wise on a
+batch.
 """
 
 from __future__ import annotations
@@ -38,8 +47,12 @@ def as_chroma(bins) -> np.ndarray:
     Bin n holds the nonnegative energy of pitch class n, with n = 0 for C
     and ascending in semitones.
     """
+    return _as_bins(bins, ndims=(1,))
+
+
+def _as_bins(bins, ndims) -> np.ndarray:
     arr = np.asarray(bins, dtype=float)
-    if arr.shape != (N_BINS,):
+    if arr.ndim not in ndims or arr.shape[-1] != N_BINS:
         raise ChromaError(
             f"chroma must have exactly {N_BINS} bins, got shape {arr.shape}"
         )
@@ -70,35 +83,50 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Tiv:
-    """Tonal interval vector: six complex coefficients plus source energy.
+    """Tonal interval vector, or a batch of them, plus source energy.
 
-    ``coeffs[k-1]`` is the weighted DFT coefficient for k = 1..6; ``energy``
-    is the sum of the source chroma bins.  ``energy == 0`` marks silence, in
-    which case all coefficients are exactly zero.
+    ``coeffs[..., k-1]`` is the weighted DFT coefficient for k = 1..6;
+    ``energy`` is the sum of the source chroma bins.  ``energy == 0`` marks
+    silence, in which case all coefficients are exactly zero.  Shapes: see
+    the module docstring.
     """
 
     coeffs: np.ndarray
-    energy: float
+    energy: float | np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (N_COEFFS,):
-            raise ChromaError(f"coeffs must have shape ({N_COEFFS},)")
+        energy = np.asarray(self.energy, dtype=float)
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != N_COEFFS:
+            raise ChromaError(f"coeffs must have shape (6,) or (N, 6), got {coeffs.shape}")
+        if energy.shape != coeffs.shape[:-1]:
+            raise ChromaError("energy must hold one value per vector")
         if not (np.all(np.isfinite(coeffs.real)) and np.all(np.isfinite(coeffs.imag))):
             raise ChromaError("coeffs must be finite")
-        if not np.isfinite(self.energy) or self.energy < 0:
+        if not (np.all(np.isfinite(energy)) and np.all(energy >= 0)):
             raise ChromaError("energy must be finite and nonnegative")
         object.__setattr__(self, "coeffs", _frozen(coeffs))
-        object.__setattr__(self, "energy", float(self.energy))
+        object.__setattr__(
+            self, "energy", float(energy) if energy.ndim == 0 else _frozen(energy)
+        )
         object.__setattr__(self, "weights", _frozen(as_weights(self.weights)))
 
+    def __len__(self) -> int:
+        if self.coeffs.ndim == 1:
+            raise TypeError("a single interval vector has no length")
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, index) -> "Tiv":
+        """Row ``index`` of a batch as one vector (a slice gives a batch)."""
+        return Tiv(self.coeffs[index], self.energy[index], self.weights)
+
     @property
-    def is_silent(self) -> bool:
+    def is_silent(self) -> bool | np.ndarray:
         return self.energy == 0.0
 
     def to_dict(self) -> dict:
-        """JSON-ready form: {"coeffs": [[re, im] x 6], "energy": number}."""
+        """JSON-ready form of one vector: {"coeffs": [[re, im] x 6], "energy": x}."""
         return {
             "coeffs": [[z.real, z.imag] for z in self.coeffs],
             "energy": self.energy,
@@ -106,11 +134,12 @@ class Tiv:
 
     @classmethod
     def from_dict(cls, data: dict, weights=DEFAULT_WEIGHTS) -> "Tiv":
-        pairs = data["coeffs"]
-        if len(pairs) != N_COEFFS:
-            raise ChromaError(f"coeffs must have {N_COEFFS} entries")
-        coeffs = np.array([complex(re, im) for re, im in pairs])
-        return cls(coeffs=coeffs, energy=float(data["energy"]), weights=weights)
+        try:
+            coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
+            energy = float(data["energy"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ChromaError(f"malformed interval vector dict: {exc!r}") from None
+        return cls(coeffs=coeffs, energy=energy, weights=weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,21 +159,24 @@ class PhaseVector:
 
 
 def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
-    """Build a tonal interval vector from a 12-bin chroma vector.
+    """Build interval vectors from one (12,) chroma or an (N, 12) batch.
 
-    The chroma is L1-normalised, its DFT coefficients k = 1..6 are taken
-    and scaled by ``weights``.  An all-zero chroma yields the zero vector
-    with energy 0 (silence convention) so framewise pipelines stay total
-    over real audio.
+    Each chroma row is L1-normalised, its DFT coefficients k = 1..6 are
+    taken and scaled by ``weights``; all rows go through one FFT call.  An
+    all-zero row yields the zero vector with energy 0 (silence convention)
+    so framewise pipelines stay total over real audio.  A row whose sum
+    overflows raises ChromaError.
     """
-    c = as_chroma(chroma)
+    c = _as_bins(chroma, ndims=(1, 2))
     w = as_weights(weights)
-    energy = float(c.sum())
-    if energy == 0.0:
-        coeffs = np.zeros(N_COEFFS, dtype=complex)
-    else:
-        spectrum = np.fft.fft(c / energy)
-        coeffs = w * spectrum[1 : N_COEFFS + 1]
+    frames = c.reshape(-1, N_BINS)
+    energy = frames.sum(axis=1)
+    silent = energy == 0.0
+    spectrum = np.fft.fft(frames / np.where(silent, 1.0, energy)[:, None], axis=1)
+    coeffs = spectrum[:, 1 : N_COEFFS + 1] * w
+    coeffs[silent] = 0.0
+    if c.ndim == 1:
+        return Tiv(coeffs=coeffs[0], energy=energy[0], weights=w)
     return Tiv(coeffs=coeffs, energy=energy, weights=w)
 
 
@@ -203,8 +235,3 @@ def transpose(t: Tiv, semitones: int) -> Tiv:
     k = np.arange(1, N_COEFFS + 1)
     rotation = np.exp(-2j * np.pi * k * p / N_BINS)
     return Tiv(coeffs=t.coeffs * rotation, energy=t.energy, weights=t.weights)
-
-
-def scale(t: Tiv, factor: float) -> Tiv:
-    """Multiply all six coefficients by a real scalar; energy is unchanged."""
-    return Tiv(coeffs=t.coeffs * float(factor), energy=t.energy, weights=t.weights)

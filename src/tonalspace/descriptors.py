@@ -1,11 +1,13 @@
-"""Scalar harmonic descriptors and distances over interval vectors.
+"""Harmonic descriptors and distances over interval vectors.
 
 The single-coefficient qualities (chromaticity, diatonicity,
 whole-toneness) normalise one coefficient magnitude to [0, 1]; dissonance
 collapses the full weighted magnitude into one indicator.  All four depend
 only on magnitudes, so they are invariant under transposition of the
-source chroma.  ``harmonic_change`` turns a frame sequence into a novelty
-curve whose peaks mark transitions between harmonically stable regions.
+source chroma.  Each takes one vector or a batch (see ``core``) and
+returns a float or an (N,) array, bit-identical row by row.
+``harmonic_change`` turns a frame sequence into a novelty curve whose
+peaks mark transitions between harmonically stable regions.
 """
 
 from __future__ import annotations
@@ -22,28 +24,42 @@ from .errors import ChromaError, DegenerateInputError, InsufficientInputError
 HARTE_COEFFS = (3, 4, 5)
 
 
-def chromaticity(t: Tiv) -> float:
+def _per_vector(values):
+    """A float for one vector, the (N,) array for a batch."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _sqnorm(coeffs):
+    """Squared l2 norm over the last axis, summed per row in ``np.linalg.norm``'s
+    order (real squares, then imaginary); ``norm(axis=1)`` differs in the last bit."""
+    re = coeffs.real[..., None, :]
+    im = coeffs.imag[..., None, :]
+    return (re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
+
+
+def chromaticity(t: Tiv):
     """Concentration on one region of the chromatic pitch circle, in [0, 1].
 
     Near 0 for evenly spread sonorities (tonal chords, scales), near 1
-    for compact semitone clusters.  Silence reports 0.
+    for compact semitone clusters.  Silence reports 0.  Like every quality
+    here: a float for one vector, an (N,) array for a batch.
     """
-    return float(np.abs(t.coeffs[0]) / t.weights[0])
+    return _per_vector(np.abs(t.coeffs[..., 0]) / t.weights[0])
 
 
-def diatonicity(t: Tiv) -> float:
+def diatonicity(t: Tiv):
     """Concentration on one region of the circle of fifths, in [0, 1].
     Silence reports 0."""
-    return float(np.abs(t.coeffs[4]) / t.weights[4])
+    return _per_vector(np.abs(t.coeffs[..., 4]) / t.weights[4])
 
 
-def wholetoneness(t: Tiv) -> float:
+def wholetoneness(t: Tiv):
     """Proximity to one of the two whole-tone collections, in [0, 1].
     Silence reports 0."""
-    return float(np.abs(t.coeffs[5]) / t.weights[5])
+    return _per_vector(np.abs(t.coeffs[..., 5]) / t.weights[5])
 
 
-def dissonance(t: Tiv) -> float:
+def dissonance(t: Tiv):
     """Intervallic dissonance in [0, 1]: the weighted coefficient norm,
     normalised by the weight norm, subtracted from unity.
 
@@ -51,17 +67,18 @@ def dissonance(t: Tiv) -> float:
     and silence score 1.  The l2 norm is taken over all six complex
     coefficients.
     """
-    return float(1.0 - np.linalg.norm(t.coeffs) / np.linalg.norm(t.weights))
+    return _per_vector(1.0 - np.sqrt(_sqnorm(t.coeffs)) / np.linalg.norm(t.weights))
 
 
-def euclid(t1: Tiv, t2: Tiv) -> float:
-    """Euclidean distance between two interval vectors.
+def euclid(t1: Tiv, t2: Tiv):
+    """Euclidean distance between two interval vectors (row-wise for
+    batches, which broadcast against one vector).
 
     Tracks voice-leading proximity: parsimonious moves between pitch
     profiles land close together.
     """
     _require_same_weights(t1, t2)
-    return float(np.linalg.norm(t1.coeffs - t2.coeffs))
+    return _per_vector(np.sqrt(_sqnorm(t1.coeffs - t2.coeffs)))
 
 
 def cosine_similarity(t1: Tiv, t2: Tiv) -> float:
@@ -113,7 +130,7 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
 
     Parameters
     ----------
-    tivs : sequence of Tiv
+    tivs : batched Tiv, or sequence of Tiv
         At least three frames, all sharing one weight vector.
     threshold : "adaptive" or float
         Peak floor.  "adaptive" uses mean + 1 std of the curve, which is
@@ -122,37 +139,37 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
         1-based coefficient subset to measure over (e.g. ``HARTE_COEFFS``);
         default uses all six.
     """
-    ts = list(tivs)
-    if len(ts) < 3:
-        raise InsufficientInputError(
-            f"harmonic change needs at least 3 frames, got {len(ts)}"
-        )
-    for t in ts[1:]:
-        _require_same_weights(ts[0], t)
-
-    if coeffs is None:
-        sel = np.arange(N_COEFFS)
+    if isinstance(tivs, Tiv):
+        matrix = tivs.coeffs.reshape(-1, N_COEFFS)
     else:
-        sel = np.asarray(sorted(set(int(k) for k in coeffs))) - 1
-        if sel.size == 0 or sel.min() < 0 or sel.max() >= N_COEFFS:
-            raise ChromaError("coefficient subset must be drawn from 1..6")
+        ts = list(tivs)
+        for t in ts[1:]:
+            _require_same_weights(ts[0], t)
+        matrix = np.array([t.coeffs for t in ts])
+    n = len(matrix)
+    if n < 3:
+        raise InsufficientInputError(f"harmonic change needs at least 3 frames, got {n}")
+    if coeffs is not None:
+        ks = np.asarray(list(coeffs))
+        if ks.dtype.kind not in "iu" or not ks.size or ks.min() < 1 or ks.max() > N_COEFFS:
+            raise ChromaError("coefficient subset must be integers drawn from 1..6")
+        matrix = matrix[:, np.unique(ks) - 1]
 
-    matrix = np.array([t.coeffs for t in ts])[:, sel]
-    values = np.zeros(len(ts))
-    values[1:-1] = np.sqrt(
-        np.sum(np.abs(matrix[2:] - matrix[:-2]) ** 2, axis=1)
-    )
+    values = np.zeros(n)
+    values[1:-1] = np.sqrt(np.sum(np.abs(matrix[2:] - matrix[:-2]) ** 2, axis=1))
 
     if threshold == "adaptive":
         floor = float(values.mean() + values.std())
     else:
-        floor = float(threshold)
+        try:
+            floor = float(threshold)
+        except (TypeError, ValueError):
+            raise ChromaError(
+                f"threshold must be 'adaptive' or a number, got {threshold!r}"
+            ) from None
 
-    peaks = [
-        m
-        for m in range(1, len(values) - 1)
-        if values[m - 1] < values[m] >= values[m + 1] and values[m] >= floor
-    ]
+    middle = values[1:-1]
+    is_peak = (values[:-2] < middle) & (middle >= values[2:]) & (middle >= floor)
     return HarmonicChangeSeries(
-        values=values, peaks=np.array(peaks, dtype=int), threshold=floor
+        values=values, peaks=np.flatnonzero(is_peak) + 1, threshold=floor
     )

@@ -21,8 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .core import DEFAULT_WEIGHTS, Tiv, _frozen, as_chroma, scale, tiv_from_chroma
-from .descriptors import euclid
+from .core import DEFAULT_WEIGHTS, Tiv, _frozen, as_chroma, tiv_from_chroma
+from .descriptors import _sqnorm
 from .errors import ChromaError, DegenerateInputError, WeightMismatchError
 
 PROFILE_DIR_ENV = "TONALSPACE_PROFILE_DIR"
@@ -34,13 +34,14 @@ PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#",
 @dataclass(frozen=True, eq=False)
 class KeyProfileSet:
     """A named major/minor profile pair, its bias, and the 24 reference
-    vectors (index r: 0..11 major rotations, 12..23 minor rotations)."""
+    vectors as one batched Tiv (row r: 0..11 major rotations, 12..23 minor
+    rotations)."""
 
     name: str
     major_profile: np.ndarray
     minor_profile: np.ndarray
     alpha: float
-    profile_tivs: tuple[Tiv, ...]
+    profile_tivs: Tiv
 
     def __post_init__(self):
         object.__setattr__(self, "major_profile", _frozen(self.major_profile))
@@ -136,19 +137,18 @@ def build_profile_set(
     if not (np.isfinite(alpha) and alpha > 0):
         raise ChromaError("alpha must be a positive finite number")
 
-    tivs = [tiv_from_chroma(np.roll(major, r), weights) for r in range(12)]
-    tivs += [tiv_from_chroma(np.roll(minor, r), weights) for r in range(12)]
+    rotations = [np.roll(profile, r) for profile in (major, minor) for r in range(12)]
     return KeyProfileSet(
         name=name,
         major_profile=major,
         minor_profile=minor,
         alpha=alpha,
-        profile_tivs=tuple(tivs),
+        profile_tivs=tiv_from_chroma(np.array(rotations), weights),
     )
 
 
 def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
-    """Nearest-reference key estimate for one interval vector.
+    """Nearest-reference key estimate for one (unbatched) interval vector.
 
     The query is compared against all 24 references by Euclidean distance;
     for the minor references (index >= 12) the query's coefficients are
@@ -158,17 +158,12 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     """
     if t.is_silent:
         raise DegenerateInputError("cannot estimate a key for silence")
-    if not np.array_equal(t.weights, profiles.profile_tivs[0].weights):
+    if not np.array_equal(t.weights, profiles.profile_tivs.weights):
         raise WeightMismatchError(
             "input and profile set use different interval weight vectors"
         )
-    biased = scale(t, profiles.alpha)
-    distances = np.array(
-        [
-            euclid(biased if r >= 12 else t, ref)
-            for r, ref in enumerate(profiles.profile_tivs)
-        ]
-    )
+    queries = np.array([t.coeffs] * 12 + [t.coeffs * profiles.alpha] * 12)
+    distances = np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs))
     index = int(np.argmin(distances))
     return KeyResult(
         index=index,

@@ -169,6 +169,10 @@ class TestJson:
             '{"frames": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, -1]]}',
             '{"frame_rate": "fast", "frames": [[0,0,0,0,0,0,0,0,0,0,0,0]]}',
             "not json at all",
+            pytest.param(
+                '{"frames": [[1' + "0" * 400 + ',0,0,0,0,0,0,0,0,0,0,0]]}',
+                id="integer-beyond-float-range",
+            ),
         ],
     )
     def test_malformed_rejected(self, tmp_path, payload):

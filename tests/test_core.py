@@ -17,7 +17,6 @@ from tonalspace import (
     combine,
     mag,
     phases,
-    scale,
     tiv_from_chroma,
     transpose,
 )
@@ -107,6 +106,13 @@ class TestTivConstruction:
         t = tiv_from_chroma(binary_chroma([0]), w)
         assert np.allclose(t.coeffs.real, w)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_overflowing_sum_is_refused(self, batched):
+        huge = np.full(12, 1e308)
+        chroma = np.vstack([np.ones(12), huge]) if batched else huge
+        with pytest.raises(ChromaError, match="energy"):
+            tiv_from_chroma(chroma)
+
     def test_coeffs_are_immutable(self):
         t = tiv_from_chroma(binary_chroma([0]))
         with pytest.raises((ValueError, RuntimeError)):
@@ -127,6 +133,13 @@ class TestTivSerialization:
         back = Tiv.from_dict(t.to_dict())
         assert np.array_equal(back.coeffs, t.coeffs)
         assert back.energy == t.energy
+
+    @pytest.mark.parametrize("missing", ["coeffs", "energy"])
+    def test_missing_field_is_chroma_error(self, missing):
+        data = tiv_from_chroma(binary_chroma([0])).to_dict()
+        del data[missing]
+        with pytest.raises(ChromaError):
+            Tiv.from_dict(data)
 
     def test_dict_shape(self):
         d = tiv_from_chroma(binary_chroma([0])).to_dict()
@@ -245,12 +258,3 @@ class TestTranspose:
             both = p0.valid & p1.valid
             delta = (p1.values - expected)[both]
             assert np.allclose(np.mod(delta + np.pi, 2 * np.pi) - np.pi, 0, atol=1e-9)
-
-
-class TestScale:
-    def test_scales_coeffs_only(self, rng):
-        t = tiv_from_chroma(random_chroma(rng))
-        s = scale(t, 0.25)
-        assert np.allclose(s.coeffs, 0.25 * t.coeffs, atol=1e-15)
-        assert s.energy == t.energy
-        assert np.array_equal(s.weights, t.weights)

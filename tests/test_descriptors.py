@@ -301,9 +301,14 @@ class TestHarmonicChange:
 
     def test_bad_coefficient_subset_rejected(self):
         tivs = [tiv_from_chroma(MAJOR_TRIAD)] * 3
-        for bad in ([0], [7], []):
+        for bad in ([0], [7], [], [2.7], ["3"], [3, None]):
             with pytest.raises(ChromaError):
                 harmonic_change(tivs, coeffs=bad)
+
+    def test_non_numeric_threshold_rejected(self):
+        tivs = [tiv_from_chroma(MAJOR_TRIAD)] * 3
+        with pytest.raises(ChromaError, match="threshold"):
+            harmonic_change(tivs, threshold="foo")
 
     def test_too_few_frames_rejected(self):
         t = tiv_from_chroma(MAJOR_TRIAD)
