@@ -12,6 +12,7 @@ dependency.  Prefer file input for real analyses.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -55,7 +56,10 @@ class ChromaSequence:
             if np.any(frames < 0):
                 raise ChromaError("chroma frames must be nonnegative")
         if self.frame_rate is not None:
-            rate = float(self.frame_rate)
+            try:
+                rate = float(self.frame_rate)
+            except OverflowError:  # an integer beyond the float range
+                rate = np.inf
             if not (np.isfinite(rate) and rate > 0):
                 raise ChromaError("frame_rate must be a positive finite number")
             object.__setattr__(self, "frame_rate", rate)
@@ -104,25 +108,52 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _plain_csv_frames(text: str):
+    """Frames of CSV text that needs none of the csv module's rules, else None
+    (quotes, lone carriage returns, overlong fields, ragged or bad rows)."""
+    if "\r" in text:  # a scan for one character is far cheaper than replace
+        text = text.replace("\r\n", "\n")
+    lines = list(filter(None, text.split("\n")))
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text or max(map(len, lines), default=0) > limit:
+        return None
+    if lines and not _is_number(lines[0].split(",", 1)[0]):
+        del lines[0]  # header row
+    if {line.count(",") for line in lines} != {N_BINS - 1}:
+        return None
+    try:
+        frames = np.array(list(map(float, ",".join(lines).split(","))))
+    except ValueError:
+        return None
+    frames = frames.reshape(-1, N_BINS)
+    return frames if np.all(np.isfinite(frames) & (frames >= 0)) else None
+
+
 def load_chroma_csv(path) -> ChromaSequence:
-    """Load chroma frames from CSV: one row per frame, 12 numeric columns.
+    """Load chroma frames from UTF-8 CSV: one row per frame, 12 numeric columns.
 
     An optional first header row is detected by a non-numeric first cell.
-    Blank lines are skipped.  Malformed rows (wrong column count, negative,
-    NaN, non-numeric) raise ChromaError naming the offending row.
+    Blank and whitespace-only rows are skipped; cells may be quoted and may
+    carry surrounding whitespace.  Malformed rows (wrong column count,
+    negative, NaN, non-numeric) raise ChromaError naming the offending row.
     """
-    rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for cells in reader:
-                if not cells or all(not cell.strip() for cell in cells):
-                    continue
-                if not rows and not _is_number(cells[0]):
-                    continue  # header row
-                rows.append((reader.line_num, [cell.strip() for cell in cells]))
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma CSV {path}: {exc}") from exc
+    frames = _plain_csv_frames(text)
+    if frames is not None:
+        return ChromaSequence(frames, frame_rate=None, source=str(path))
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for cells in reader:
+            if not cells or all(not cell.strip() for cell in cells):
+                continue
+            if not rows and not _is_number(cells[0]):
+                continue  # header row
+            rows.append((reader.line_num, [cell.strip() for cell in cells]))
     except csv.Error as exc:
         raise ChromaError(f"{path}: malformed CSV: {exc}") from exc
     return ChromaSequence(_parse_rows(rows, path), frame_rate=None, source=str(path))
@@ -144,9 +175,9 @@ def load_chroma_json(path) -> ChromaSequence:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma JSON {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ChromaError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(data, dict) or "frames" not in data:
         raise ChromaError(f'{path}: expected a JSON object with a "frames" field')
@@ -166,11 +197,21 @@ def load_chroma_json(path) -> ChromaSequence:
     return ChromaSequence(_parse_rows(rows, path), frame_rate=frame_rate, source=str(path))
 
 
+def _json_list(items, indent: int) -> str:
+    """A list laid out as ``json.dumps(..., indent=2)`` lays it out at
+    ``indent`` spaces, from items already encoded as JSON text."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
 def chroma_json_text(seq: ChromaSequence) -> str:
-    """Chroma frames (and frame_rate when known) as JSON text."""
-    data = {} if seq.frame_rate is None else {"frame_rate": seq.frame_rate}
-    data["frames"] = seq.frames.tolist()
-    return json.dumps(data, indent=2) + "\n"
+    """Chroma frames (and frame_rate when known) as JSON text, laid out as
+    ``json.dumps(..., indent=2)``; ``repr`` is JSON's form of a finite float."""
+    head = "" if seq.frame_rate is None else f'  "frame_rate": {seq.frame_rate!r},\n'
+    rows = [_json_list(list(map(repr, row)), 4) for row in seq.frames.tolist()]
+    return "{\n" + head + '  "frames": ' + _json_list(rows, 2) + "\n}\n"
 
 
 def save_chroma_json(seq: ChromaSequence, path) -> None:

@@ -32,6 +32,7 @@ from .chroma import (
     DEFAULT_HOP_SIZE,
     DEFAULT_WINDOW_SIZE,
     ChromaSequence,
+    _json_list,
     chroma_csv_text,
     chroma_json_text,
     extract_chroma_wav,
@@ -52,7 +53,7 @@ from .descriptors import (
     harmonic_change,
     wholetoneness,
 )
-from .errors import ChromaError, TonalSpaceError
+from .errors import ChromaError, DegenerateInputError, TonalSpaceError
 from .key import BUNDLED_PROFILES, PROFILE_DIR_ENV, build_profile_set, estimate_key
 
 ANALYZE_COLUMNS = (
@@ -147,6 +148,27 @@ def _resolve_profiles(args, weights):
     return build_profile_set(name, alpha_override=args.alpha, weights=weights)
 
 
+_FRAME_JSON = "{" + ",".join(f'\n      "{c}": %s' for c in ANALYZE_COLUMNS) + "\n    }"
+
+
+def _json_cells(values: list) -> list[str]:
+    """Each number or None of ``values`` as JSON text, from one C-encoder dump."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _json_report(head: dict, peaks: list, columns: list) -> str:
+    """``json.dumps(report, indent=2) + "\\n"`` of the analyze report from its
+    ``head`` (metadata, global), the peaks and the ANALYZE_COLUMNS columns;
+    only the small head goes through the slow pure-Python indenting encoder."""
+    cells = [_json_cells(column) for column in columns]
+    frames = list(map(_FRAME_JSON.__mod__, zip(*cells)))
+    lam, peaks = _json_list(cells[-1], 4), _json_list(_json_cells(peaks), 4)
+    return json.dumps(head, indent=2)[:-2] + (
+        f',\n  "hchange": {{\n    "lambda": {lam},\n    "peaks": {peaks}\n  }},'
+        f'\n  "frames": {_json_list(frames, 2)}\n}}\n'
+    )
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -183,8 +205,10 @@ def cmd_analyze(args) -> int:
 
     g_tiv = tiv_from_chroma(global_chroma(seq), weights)
     g_qualities = dict(zip(ANALYZE_COLUMNS[2:6], (q(g_tiv) for q in qualities)))
-    key_result = None if g_tiv.is_silent else estimate_key(g_tiv, profiles)
-    key_json = None if key_result is None else key_result.to_dict()
+    try:
+        key_json = estimate_key(g_tiv, profiles).to_dict()
+    except DegenerateInputError:  # silence or uniform chroma: no key
+        key_json = None
 
     rate = seq.frame_rate
     times = [None] * n if rate is None else (np.arange(n) / rate).tolist()
@@ -203,16 +227,12 @@ def cmd_analyze(args) -> int:
     }
 
     if args.out_format == "json":
-        report = {
+        head = {
             "metadata": metadata,
             "global": {"tiv": g_tiv.to_dict(), **g_qualities, "key": key_json},
-            "hchange": {"lambda": lam, "peaks": peaks},
-            "frames": [
-                dict(zip(ANALYZE_COLUMNS, row))
-                for row in zip(range(n), times, *columns, lam)
-            ],
         }
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        frame_columns = [list(range(n)), times, *columns, lam]
+        _emit(_json_report(head, peaks, frame_columns), args.out)
         return 0
 
     lines = [f"# {key}: {json.dumps(value)}" for key, value in metadata.items()]

@@ -229,6 +229,8 @@ def transpose(t: Tiv, semitones: int) -> Tiv:
     building the vector from the circularly rotated chroma.  Energy and
     magnitudes are unchanged.
     """
+    if not isinstance(semitones, (int, np.integer)) or isinstance(semitones, bool):
+        raise ChromaError(f"semitones must be an integer, got {semitones!r}")
     p = int(semitones) % N_BINS
     if p == 0:
         return t

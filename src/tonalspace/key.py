@@ -93,7 +93,7 @@ def load_profile_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
     for field in ("name", "major", "minor", "alpha"):
         if field not in data:
@@ -154,10 +154,13 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     for the minor references (index >= 12) the query's coefficients are
     first scaled by ``profiles.alpha``.  Ties break toward the lowest
     index.  The result is scale-invariant in the source chroma, since the
-    coefficients themselves are.
+    coefficients themselves are.  Silence and a zero-norm vector (uniform
+    chroma, equally far from all 12 references of a mode) are refused.
     """
     if t.is_silent:
         raise DegenerateInputError("cannot estimate a key for silence")
+    if np.linalg.norm(t.coeffs) == 0.0:
+        raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
     if not np.array_equal(t.weights, profiles.profile_tivs.weights):
         raise WeightMismatchError(
             "input and profile set use different interval weight vectors"

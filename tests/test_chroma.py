@@ -1,9 +1,14 @@
 """Tests for chroma file I/O, aggregation, and the WAV extractor."""
 
+import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
 from tonalspace import (
@@ -18,6 +23,8 @@ from tonalspace import (
     save_chroma_json,
     window_average,
 )
+from tonalspace import chroma
+from tonalspace.chroma import chroma_json_text
 
 
 def write_csv(path, rows, header=None):
@@ -41,6 +48,93 @@ def sine_wav(path, freq, sr=22050, seconds=1.0, dtype=np.float32, stereo=False):
         sig = np.stack([sig, sig], axis=1)
     wavfile.write(path, sr, sig)
     return sr
+
+
+CSV_SPECIAL_CELLS = (
+    "1_0", " 0.25", "0.5 ", "nan", "inf", "1e400", '"3"', "-1", "", " ", "\ufeff",
+    "c", "0" * csv.field_size_limit() + "1",
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV-like text: rows of float reprs, header and blank lines, LF or CRLF
+    ends; half the texts also get special cells, 11- and 13-cell rows,
+    whitespace lines and lone or missing line ends."""
+    messy = draw(st.booleans())
+    kinds = ["row"] * 5 + ["header", "blank"] + ["spaces"] * messy
+    widths = [12] + [11, 13] * messy
+    ends = ["\n", "\n", "\r\n"] + ["\r", ""] * messy
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "row":
+            width = draw(st.sampled_from(widths))
+            cells = draw(st.lists(st.floats(0, 1e6).map(repr), min_size=width, max_size=width))
+            for _ in range(draw(st.integers(0, 2 * messy))):
+                cells[draw(st.integers(0, width - 1))] = draw(st.sampled_from(CSV_SPECIAL_CELLS))
+            line = ",".join(cells)
+        else:
+            line = {"header": "C,C#,D,D#,E,F,F#,G,G#,A,A#,B", "blank": "", "spaces": "  "}[kind]
+        lines.append(line + draw(st.sampled_from(ends)))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
+
+
+def frames_or_message(path):
+    try:
+        return load_chroma_csv(path).frames
+    except ChromaError as exc:
+        return str(exc)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=13) | st.dictionaries(st.text(max_size=3), kids),
+    max_leaves=30,
+)
+CHROMA_JSON = st.fixed_dictionaries(
+    {"frames": st.lists(st.lists(JSON_SCALARS, min_size=12, max_size=12) | JSON_VALUES)},
+    optional={"frame_rate": JSON_VALUES},
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.binary()
+    | csv_texts().map(str.encode)
+    | (JSON_VALUES | CHROMA_JSON).map(lambda value: json.dumps(value).encode())
+)
+@example(data=b"\xff\xfe0.1,0.2\n")
+@example(data=b"[" * 100_000)
+@example(data=b'{"frame_rate": 1' + b"0" * 400 + b', "frames": [[1,0,0,0,0,0,0,0,0,0,0,0]]}')
+def test_loaders_return_sequence_or_raise_chroma_error(scratch_file, data):
+    """Any bytes give a ChromaSequence or a ChromaError, never another error."""
+    scratch_file.write_bytes(data)
+    for load in (load_chroma_csv, load_chroma_json):
+        try:
+            assert isinstance(load(scratch_file), ChromaSequence)
+        except ChromaError:
+            pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    frames=st.integers(0, 4).flatmap(
+        lambda n: arrays(float, (n, 12), elements=st.floats(0, allow_infinity=False) | st.just(-0.0))
+    ),
+    frame_rate=st.none() | st.floats(0, exclude_min=True, allow_infinity=False),
+)
+def test_json_text_matches_indent_dump(frames, frame_rate):
+    seq = ChromaSequence(frames, frame_rate=frame_rate)
+    data = {} if seq.frame_rate is None else {"frame_rate": seq.frame_rate}
+    data["frames"] = seq.frames.tolist()
+    assert chroma_json_text(seq) == json.dumps(data, indent=2) + "\n"
 
 
 class TestChromaSequence:
@@ -144,6 +238,28 @@ class TestCsv:
         back = load_chroma_csv(path)
         assert np.array_equal(back.frames, frames)
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    @example(text="a\r" + ",".join(["1"] * 12) + "\n")  # a lone CR ends a row
+    @example(text="1,2,3 \r ," + ",".join(["1"] * 9) + "\n")  # float(" 3 \r ") is 3.0
+    @example(text='C,"D\n' + ",".join(["1"] * 12) + "\n")  # an open quote runs to EOF
+    @example(text="\u2028".join([",".join(["1"] * 12)] * 2))  # not a csv row end
+    @example(text=",".join(["1"] * 11 + ["0" * csv.field_size_limit() + "1"]))
+    @example(text=",".join(["1"] * 11) + "\n" + ",".join(["1"] * 13) + "\n")
+    @example(text="1," * 11 + "-1\n")
+    @example(text="1," * 11 + "1e400\n")
+    def test_plain_path_matches_csv_reader(self, scratch_file, text):
+        """The str.split path returns what the csv.reader path returns (the
+        reference, reached by disabling the plain path), or fails the same way."""
+        scratch_file.write_bytes(text.encode("utf-8"))
+        got = frames_or_message(scratch_file)
+        with mock.patch.object(chroma, "_plain_csv_frames", return_value=None):
+            want = frames_or_message(scratch_file)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
 
 class TestJson:
     def test_load_basic(self, tmp_path):
@@ -169,6 +285,7 @@ class TestJson:
             '{"frames": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, -1]]}',
             '{"frame_rate": "fast", "frames": [[0,0,0,0,0,0,0,0,0,0,0,0]]}',
             "not json at all",
+            pytest.param(b"\xff\xfe{}", id="not-utf-8"),
             pytest.param(
                 '{"frames": [[1' + "0" * 400 + ',0,0,0,0,0,0,0,0,0,0,0]]}',
                 id="integer-beyond-float-range",
@@ -177,7 +294,7 @@ class TestJson:
     )
     def test_malformed_rejected(self, tmp_path, payload):
         path = tmp_path / "c.json"
-        path.write_text(payload)
+        path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         with pytest.raises(ChromaError):
             load_chroma_json(path)
 

@@ -6,7 +6,22 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from tonalspace import combine, euclid, tiv_from_chroma
+from tonalspace import (
+    DEFAULT_WEIGHTS,
+    build_profile_set,
+    chromaticity,
+    combine,
+    diatonicity,
+    dissonance,
+    estimate_key,
+    euclid,
+    global_chroma,
+    harmonic_change,
+    load_chroma_csv,
+    load_chroma_json,
+    tiv_from_chroma,
+    wholetoneness,
+)
 from tonalspace.cli import ANALYZE_COLUMNS, main
 
 from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma
@@ -112,6 +127,66 @@ class TestAnalyze:
         for row in report["frames"]:
             assert row["chromaticity"] == 0.0
             assert row["dissonance"] == 1.0
+
+    def test_uniform_input_has_no_key(self, tmp_path, capsys):
+        path = tmp_path / "uniform.csv"
+        write_chroma_csv(path, [np.ones(12)] * 3)
+        code, report = run_json(capsys, ["analyze", str(path), "--out-format", "json"])
+        assert code == 0
+        assert report["global"]["key"] is None
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_json_report_is_the_indent_dump(self, tmp_path, capsys, rng, n, fmt):
+        """The report text equals json.dumps(report, indent=2) of a report
+        built here from library calls; n < 3 has no harmonic-change peaks."""
+        frames = rng.uniform(0, 1, (n, 12))
+        path = tmp_path / f"short.{fmt}"
+        if fmt == "csv":
+            write_chroma_csv(path, frames)
+            seq = load_chroma_csv(path)
+        else:
+            path.write_text(json.dumps({"frame_rate": 10.0, "frames": frames.tolist()}))
+            seq = load_chroma_json(path)
+        assert main(["analyze", str(path), "--out-format", "json"]) == 0
+        out = capsys.readouterr().out
+
+        tivs = tiv_from_chroma(seq.frames)
+        qualities = (chromaticity, diatonicity, wholetoneness, dissonance)
+        columns = [q(tivs).tolist() for q in qualities]
+        if n >= 3:
+            series = harmonic_change(tivs)
+            lam, peaks = series.values.tolist(), series.peaks.tolist()
+        else:
+            lam, peaks = [0.0] * n, []
+        times = [None] * n if fmt == "csv" else (np.arange(n) / 10.0).tolist()
+        g_tiv = tiv_from_chroma(global_chroma(seq))
+        report = {
+            "metadata": {
+                "command": "analyze",
+                "input": str(path),
+                "input_format": fmt,
+                "frames": n,
+                "frame_rate": seq.frame_rate,
+                "window_avg": 1,
+                "weights": list(DEFAULT_WEIGHTS),
+                "profile": "temperley",
+                "alpha": 0.2,
+                "threshold": "adaptive",
+                "hchange_coeffs": "all",
+            },
+            "global": {
+                "tiv": g_tiv.to_dict(),
+                **{c: q(g_tiv) for c, q in zip(ANALYZE_COLUMNS[2:6], qualities)},
+                "key": estimate_key(g_tiv, build_profile_set("temperley")).to_dict(),
+            },
+            "hchange": {"lambda": lam, "peaks": peaks},
+            "frames": [
+                dict(zip(ANALYZE_COLUMNS, row))
+                for row in zip(range(n), times, *columns, lam)
+            ],
+        }
+        assert out == json.dumps(report, indent=2) + "\n"
 
     def test_window_avg(self, synthetic_csv, capsys):
         code, report = run_json(
@@ -227,6 +302,19 @@ class TestKey:
         write_chroma_csv(path, [np.zeros(12)])
         assert main(["key", str(path)]) == 1
         assert "silence" in capsys.readouterr().err
+
+    def test_uniform_input_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "uniform.csv"
+        write_chroma_csv(path, [np.ones(12)])
+        assert main(["key", str(path)]) == 1
+        assert "zero-norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b"\xff\xfe0.1,0.2\n")
+        assert main(["key", str(path)]) == 1
+        assert "can't decode" in capsys.readouterr().err
 
 
 class TestCombine:

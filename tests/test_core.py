@@ -247,6 +247,15 @@ class TestTranspose:
         assert transpose(t, 12) is t
         assert transpose(t, 0) is t
 
+    @pytest.mark.parametrize("shift", [1.5, 2.0, np.float64(3.0), True, "3"])
+    def test_non_integer_shift_rejected(self, shift):
+        with pytest.raises(ChromaError):
+            transpose(tiv_from_chroma(binary_chroma([0, 4, 7])), shift)
+
+    def test_numpy_integer_shift(self):
+        t = tiv_from_chroma(binary_chroma([0, 4, 7]))
+        assert np.array_equal(transpose(t, np.int64(2)).coeffs, transpose(t, 2).coeffs)
+
     def test_phases_shift_by_expected_amount(self, rng):
         c = random_chroma(rng)
         t = tiv_from_chroma(c)

@@ -103,9 +103,11 @@ class TestProfileSets:
 
     def test_malformed_profile_file(self, tmp_path, monkeypatch):
         (tmp_path / "broken.json").write_text('{"name": "broken", "major": [1, 2]}')
+        (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
         monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
-        with pytest.raises(ChromaError):
-            build_profile_set("broken")
+        for name in ("broken", "latin1"):
+            with pytest.raises(ChromaError):
+                build_profile_set(name)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,11 @@ class TestEstimateKey:
     def test_silent_input_rejected(self, temperley):
         with pytest.raises(DegenerateInputError):
             estimate_key(tiv_from_chroma(np.zeros(12)), temperley)
+
+    def test_uniform_chroma_rejected(self, temperley):
+        # zero-norm vector: equidistant from all 12 major (or minor) references
+        with pytest.raises(DegenerateInputError, match="zero-norm"):
+            estimate_key(tiv_from_chroma(np.full(12, 0.3)), temperley)
 
     def test_weight_mismatch_rejected(self, temperley):
         t = tiv_from_chroma(MAJOR_TRIAD, np.arange(1.0, 7.0))
