@@ -171,10 +171,14 @@ def save_chroma_csv(seq: ChromaSequence, path) -> None:
 
 
 def load_chroma_json(path) -> ChromaSequence:
-    """Load chroma from JSON: {"frame_rate"?: number, "frames": [[12 numbers], ...]}."""
+    """Load chroma from JSON: {"frame_rate"?: number, "frames": [[12 numbers], ...]}.
+
+    JSON booleans are not numbers, neither as ``frame_rate`` nor as a cell.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma JSON {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
@@ -185,14 +189,17 @@ def load_chroma_json(path) -> ChromaSequence:
     if not isinstance(raw, list):
         raise ChromaError(f'{path}: "frames" must be a list of 12-element rows')
     rows = []
+    booleans = "true" in text or "false" in text  # scan cells only if needed
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
+        if booleans:  # None makes _parse_rows call the row non-numeric
+            row = [None if isinstance(cell, bool) else cell for cell in row]
         rows.append((i, row))
     if not rows:
         raise ChromaError(f"{path}: no chroma frames found")
     frame_rate = data.get("frame_rate")
-    if frame_rate is not None and not isinstance(frame_rate, (int, float)):
+    if frame_rate is not None and type(frame_rate) not in (int, float):
         raise ChromaError(f'{path}: "frame_rate" must be a number')
     return ChromaSequence(_parse_rows(rows, path), frame_rate=frame_rate, source=str(path))
 
@@ -284,6 +291,8 @@ def extract_chroma_wav(
     ``(round(12 * log2(f / ref_a4)) + 69) mod 12``; one frame is emitted per
     hop and ``frame_rate = sample_rate / hop_size``.  Stereo channels are
     averaged before analysis.  ``window_size`` must be a power of two.
+    The STFT runs in blocks of about 1 MB of samples, so working memory
+    beyond the samples is one frames x band-bins power buffer.
     """
     if (
         not isinstance(window_size, (int, np.integer))
@@ -318,20 +327,26 @@ def extract_chroma_wav(
         )
 
     freqs = np.fft.rfftfreq(window_size, 1.0 / sample_rate)
-    band = (freqs >= fmin) & (freqs <= fmax)
-    if not np.any(band):
+    # the bins in [fmin, fmax] are freqs[lo:hi], as freqs ascend
+    lo, hi = np.searchsorted(freqs, fmin), np.searchsorted(freqs, fmax, "right")
+    if lo == hi:
         raise ChromaError("no spectral bins fall inside [fmin, fmax]")
     pitch_classes = (
-        np.round(12.0 * np.log2(freqs[band] / ref_a4)).astype(int) + 69
+        np.round(12.0 * np.log2(freqs[lo:hi] / ref_a4)).astype(int) + 69
     ) % N_BINS
-    fold = np.zeros((band.sum(), N_BINS))
-    fold[np.arange(band.sum()), pitch_classes] = 1.0
+    fold = np.zeros((hi - lo, N_BINS))
+    fold[np.arange(hi - lo), pitch_classes] = 1.0
 
     window = np.hanning(window_size)
     segments = np.lib.stride_tricks.sliding_window_view(samples, window_size)
     segments = segments[::hop_size]
-    power = np.abs(np.fft.rfft(segments * window, axis=1)) ** 2
-    frames = power[:, band] @ fold
+    # F-ordered: from a C-ordered buffer BLAS sums in another order (last bits)
+    power = np.empty((hi - lo, len(segments))).T
+    block = max(1, 2**17 // window_size)  # frames per FFT, ~1 MB of samples
+    for i in range(0, len(segments), block):
+        spectrum = np.fft.rfft(segments[i : i + block] * window, axis=1)
+        power[i : i + block] = np.abs(spectrum[:, lo:hi]) ** 2
+    frames = power @ fold
     frames[frames < 0] = 0.0  # guard against negative rounding dust
     return ChromaSequence(
         frames, frame_rate=sample_rate / hop_size, source=str(path)

@@ -51,7 +51,10 @@ def as_chroma(bins) -> np.ndarray:
 
 
 def _as_bins(bins, ndims) -> np.ndarray:
-    arr = np.asarray(bins, dtype=float)
+    try:
+        arr = np.asarray(bins, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a dict, ragged rows
+        raise ChromaError(f"chroma bins must be numbers: {exc}") from None
     if arr.ndim not in ndims or arr.shape[-1] != N_BINS:
         raise ChromaError(
             f"chroma must have exactly {N_BINS} bins, got shape {arr.shape}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -88,20 +89,23 @@ def load_profile_file(path) -> dict:
     """Read and validate a profile data file.
 
     Schema: {"name": str, "major": [12 numbers], "minor": [12 numbers],
-    "alpha": positive number}; extra keys (e.g. "source") are ignored.
+    "alpha": positive finite number}; extra keys (e.g. "source") are ignored.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ChromaError(f"profile file {path} must hold a JSON object")
     for field in ("name", "major", "minor", "alpha"):
         if field not in data:
             raise ChromaError(f"profile file {path} is missing field {field!r}")
     as_chroma(data["major"])
     as_chroma(data["minor"])
-    if not (isinstance(data["alpha"], (int, float)) and data["alpha"] > 0):
-        raise ChromaError(f"profile file {path}: alpha must be a positive number")
+    alpha = data["alpha"]  # type(): a JSON boolean is no number
+    if type(alpha) not in (int, float) or not 0 < alpha <= sys.float_info.max:
+        raise ChromaError(f"profile file {path}: alpha must be a positive finite number")
     return data
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,34 @@ def sine_wav(path, freq, sr=22050, seconds=1.0, dtype=np.float32, stereo=False):
         sig = np.stack([sig, sig], axis=1)
     wavfile.write(path, sr, sig)
     return sr
+
+
+def noise_wav(path, n_samples, sr, dtype, stereo=False):
+    sig = np.random.default_rng(n_samples).uniform(-0.5, 0.5, (n_samples, 2))
+    sig = sig if stereo else sig[:, 0]
+    if dtype == np.uint8:
+        sig = sig * 255 + 128
+    elif np.issubdtype(dtype, np.integer):
+        sig = sig * np.iinfo(dtype).max
+    wavfile.write(path, sr, sig.astype(dtype))
+
+
+def one_shot_chroma(path, window_size, hop_size, fmax):
+    """Reference chroma: one full-size STFT over all frames, band by mask."""
+    sample_rate, data = wavfile.read(path)
+    samples = chroma._to_float_samples(data, path)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    freqs = np.fft.rfftfreq(window_size, 1.0 / sample_rate)
+    band = (freqs >= 55.0) & (freqs <= fmax)
+    pitch_classes = (np.round(12.0 * np.log2(freqs[band] / 440.0)).astype(int) + 69) % 12
+    fold = np.zeros((band.sum(), 12))
+    fold[np.arange(band.sum()), pitch_classes] = 1.0
+    segments = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop_size]
+    window = np.hanning(window_size)
+    frames = (np.abs(np.fft.rfft(segments * window, axis=1)) ** 2)[:, band] @ fold
+    frames[frames < 0] = 0.0
+    return frames
 
 
 CSV_SPECIAL_CELLS = (
@@ -290,12 +319,34 @@ class TestJson:
                 '{"frames": [[1' + "0" * 400 + ',0,0,0,0,0,0,0,0,0,0,0]]}',
                 id="integer-beyond-float-range",
             ),
+            pytest.param(
+                '{"frame_rate": true, "frames": [[1,0,0,0,0,0,0,0,0,0,0,0]]}',
+                id="boolean-frame-rate",
+            ),
+            pytest.param(
+                '{"frames": [[1,0,0,0,0,0,0,0,0,0,0,0], [true,0,0,0,0,0,0,0,0,0,0,1]]}',
+                id="boolean-cell",
+            ),
         ],
     )
     def test_malformed_rejected(self, tmp_path, payload):
         path = tmp_path / "c.json"
         path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         with pytest.raises(ChromaError):
+            load_chroma_json(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"frame_rate": True, "frames": [[1] * 12]}, '"frame_rate" must be a number'),
+            ({"frames": [[1] * 12, [1] * 11 + [False]]}, "row 1: non-numeric chroma value"),
+        ],
+        ids=["frame-rate", "cell"],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, data, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ChromaError, match=message):
             load_chroma_json(path)
 
     def test_row_numbered_diagnostics(self, tmp_path):
@@ -461,3 +512,43 @@ class TestWavExtraction:
         seq = extract_chroma_wav(path, ref_a4=450.0)
         share = seq.frames[:, 9] / seq.frames.sum(axis=1)
         assert np.all(share >= 0.8)
+
+    # blocks hold max(1, 2**17 // window) frames: 32 at 4096, 128 at 1024,
+    # 2048 at 64, 8 at 16384
+    @pytest.mark.parametrize(
+        "window, hop, n_frames, sr, dtype, stereo, fmax",
+        [
+            pytest.param(4096, 1024, 1, 22050, np.int16, False, 5000.0, id="one-frame"),
+            pytest.param(4096, 1024, 10, 22050, np.int16, False, 5000.0, id="under-one-block"),
+            pytest.param(4096, 1024, 64, 44100, np.float32, False, 5000.0, id="two-blocks"),
+            pytest.param(4096, 1024, 70, 48000, np.int32, False, 5000.0, id="partial-block"),
+            pytest.param(4096, 1024, 200, 22050, np.int16, False, 5000.0, id="many-blocks"),
+            pytest.param(1024, 1500, 300, 8000, np.uint8, False, 3000.0, id="hop-over-window"),
+            pytest.param(64, 16, 2500, 22050, np.float64, False, 11025.0, id="window-64"),
+            pytest.param(16384, 4096, 20, 44100, np.int16, True, 5000.0, id="window-16384"),
+            pytest.param(2048, 512, 100, 22050, np.int16, True, 5000.0, id="stereo"),
+            pytest.param(2048, 256, 200, 16000, np.float32, False, 8000.0, id="nyquist"),
+            pytest.param(512, 512, 300, 11025, np.int32, True, 3e4, id="above-nyquist"),
+        ],
+    )
+    def test_blocked_stft_equals_one_shot(
+        self, tmp_path, window, hop, n_frames, sr, dtype, stereo, fmax
+    ):
+        path = tmp_path / "noise.wav"
+        noise_wav(path, window + (n_frames - 1) * hop + hop // 2, sr, dtype, stereo)
+        seq = extract_chroma_wav(path, window_size=window, hop_size=hop, fmax=fmax)
+        assert len(seq) == n_frames
+        assert np.array_equal(seq.frames, one_shot_chroma(path, window, hop, fmax))
+
+    def test_working_memory_is_bounded(self, tmp_path):
+        # the full spectrogram of a 20 s file would take about 9x the samples
+        sr, n_samples = 22050, 22050 * 20
+        path = tmp_path / "long.wav"
+        noise_wav(path, n_samples, sr, np.int16)
+        tracemalloc.start()
+        try:
+            extract_chroma_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n_samples * 8

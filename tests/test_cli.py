@@ -297,6 +297,20 @@ class TestKey:
         write_chroma_csv(path, [TEMPERLEY_MAJOR])
         assert main(["key", str(path), "--profile", "bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["5", '{"name": "h", "major": %s, "minor": %s, "alpha": 1%s}' % (
+            [1.0] * 12, [1.0] * 12, "0" * 400)],
+        ids=["scalar", "huge-alpha"],
+    )
+    def test_malformed_profile_file_exit_1(self, tmp_path, capsys, monkeypatch, text):
+        (tmp_path / "house.json").write_text(text)
+        monkeypatch.setenv("TONALSPACE_PROFILE_DIR", str(tmp_path))
+        path = tmp_path / "prof.csv"
+        write_chroma_csv(path, [TEMPERLEY_MAJOR])
+        assert main(["key", str(path), "--profile", "house"]) == 1
+        assert "profile file" in capsys.readouterr().err
+
     def test_silent_input_exit_1(self, tmp_path, capsys):
         path = tmp_path / "silent.csv"
         write_chroma_csv(path, [np.zeros(12)])

@@ -45,6 +45,10 @@ class TestValidation:
             np.full(12, np.nan),
             np.full(12, np.inf),
             -np.ones(12),
+            {"a": 1},
+            [1j] * 12,
+            [10**400] * 12,
+            "abc",
         ],
     )
     def test_as_chroma_rejects_invalid(self, bad):

@@ -104,8 +104,15 @@ class TestProfileSets:
     def test_malformed_profile_file(self, tmp_path, monkeypatch):
         (tmp_path / "broken.json").write_text('{"name": "broken", "major": [1, 2]}')
         (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+        (tmp_path / "scalar.json").write_text("5")
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        good = {"name": "x", "major": [1.0] + [0.0] * 11, "minor": [0.0] * 11 + [1.0]}
+        (tmp_path / "dict.json").write_text(json.dumps({**good, "major": {"a": 1}, "alpha": 1}))
+        for name, alpha in (("huge", "1" + "0" * 400), ("bool", "true"), ("inf", "Infinity")):
+            text = json.dumps(good)[:-1] + f', "alpha": {alpha}}}'
+            (tmp_path / f"{name}.json").write_text(text)
         monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
-        for name in ("broken", "latin1"):
+        for name in ("broken", "latin1", "scalar", "deep", "dict", "huge", "bool", "inf"):
             with pytest.raises(ChromaError):
                 build_profile_set(name)
 
