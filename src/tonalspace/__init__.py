@@ -9,6 +9,8 @@ provides a batch command-line front end over chroma CSV/JSON files and a
 minimal built-in WAV extractor.
 """
 
+from types import ModuleType as _ModuleType
+
 from .chroma import (
     ChromaSequence,
     extract_chroma_wav,
@@ -49,6 +51,7 @@ from .errors import (
     DegenerateInputError,
     InsufficientInputError,
     TonalSpaceError,
+    UnknownProfileError,
     WeightMismatchError,
 )
 from .key import (
@@ -61,45 +64,9 @@ from .key import (
 
 __version__ = "0.1.0"
 
+# every public name imported above; the submodules are not API
 __all__ = [
-    "ChromaSequence",
-    "extract_chroma_wav",
-    "global_chroma",
-    "load_chroma_csv",
-    "load_chroma_json",
-    "save_chroma_csv",
-    "save_chroma_json",
-    "window_average",
-    "DEFAULT_WEIGHTS",
-    "PHASE_EPS",
-    "PhaseVector",
-    "Tiv",
-    "as_chroma",
-    "as_weights",
-    "combine",
-    "mag",
-    "phases",
-    "tiv_from_chroma",
-    "transpose",
-    "HARTE_COEFFS",
-    "HarmonicChangeSeries",
-    "chromaticity",
-    "cosine_distance",
-    "cosine_similarity",
-    "diatonicity",
-    "dissonance",
-    "euclid",
-    "harmonic_change",
-    "wholetoneness",
-    "ChromaError",
-    "DegenerateInputError",
-    "InsufficientInputError",
-    "TonalSpaceError",
-    "WeightMismatchError",
-    "PITCH_CLASS_NAMES",
-    "KeyProfileSet",
-    "KeyResult",
-    "build_profile_set",
-    "estimate_key",
-    "__version__",
-]
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

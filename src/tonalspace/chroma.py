@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_BINS, _frozen
+from .core import N_BINS, _as_floats, _frozen
 from .errors import ChromaError, DegenerateInputError
 
 # Built-in extractor defaults; override via function arguments / CLI flags.
@@ -43,7 +43,7 @@ class ChromaSequence:
     source: str = ""
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=float)
+        frames = _as_floats(self.frames, "chroma frames")
         if frames.ndim == 1 and frames.size == 0:
             frames = frames.reshape(0, N_BINS)
         if frames.ndim != 2 or frames.shape[1] != N_BINS:
@@ -69,16 +69,29 @@ class ChromaSequence:
         return self.frames.shape[0]
 
 
+def _checked(rows):
+    """``rows`` as an (N, 12) float array when they are finite nonnegative
+    numbers, else None (a string or None cell gives a non-numeric dtype)."""
+    try:
+        frames = np.asarray(rows)
+    except (ValueError, OverflowError):  # ragged or too deeply nested rows
+        return None
+    if frames.dtype.kind in "iuf" and frames.ndim == 2 and frames.shape[1] == N_BINS:
+        frames = frames.astype(float, copy=False)
+        if np.all(np.isfinite(frames) & (frames >= 0)):
+            return frames
+    return None
+
+
 def _parse_rows(rows, path) -> np.ndarray:
     """Validate (line_number, cells) pairs into an (N, 12) array in one
     vectorised pass; only on failure does the row loop name the bad row."""
     try:
-        frames = np.array([[float(cell) for cell in cells] for _, cells in rows])
+        frames = _checked([[float(cell) for cell in cells] for _, cells in rows])
     except (TypeError, ValueError, OverflowError):
         frames = None
-    if frames is not None and frames.shape[1:] == (N_BINS,):
-        if np.all(np.isfinite(frames) & (frames >= 0)):
-            return frames
+    if frames is not None:
+        return frames
     # the loop raises on the first bad row; it only completes without rows
     for line_num, cells in rows:
         if len(cells) != N_BINS:
@@ -125,8 +138,7 @@ def _plain_csv_frames(text: str):
         frames = np.array(list(map(float, ",".join(lines).split(","))))
     except ValueError:
         return None
-    frames = frames.reshape(-1, N_BINS)
-    return frames if np.all(np.isfinite(frames) & (frames >= 0)) else None
+    return _checked(frames.reshape(-1, N_BINS))
 
 
 def load_chroma_csv(path) -> ChromaSequence:
@@ -173,7 +185,8 @@ def save_chroma_csv(seq: ChromaSequence, path) -> None:
 def load_chroma_json(path) -> ChromaSequence:
     """Load chroma from JSON: {"frame_rate"?: number, "frames": [[12 numbers], ...]}.
 
-    JSON booleans are not numbers, neither as ``frame_rate`` nor as a cell.
+    JSON booleans and strings are not numbers, neither as ``frame_rate``
+    nor as a cell.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -188,20 +201,20 @@ def load_chroma_json(path) -> ChromaSequence:
     raw = data["frames"]
     if not isinstance(raw, list):
         raise ChromaError(f'{path}: "frames" must be a list of 12-element rows')
-    rows = []
-    booleans = "true" in text or "false" in text  # scan cells only if needed
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
-        if booleans:  # None makes _parse_rows call the row non-numeric
-            row = [None if isinstance(cell, bool) else cell for cell in row]
-        rows.append((i, row))
-    if not rows:
-        raise ChromaError(f"{path}: no chroma frames found")
+    # numpy reads a boolean as 1: only a text without one takes the fast path
+    frames = None if "true" in text or "false" in text else _checked(raw)
+    if frames is None:  # the row loop names the bad row
+        rows = []
+        for i, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
+            # None makes _parse_rows call the row non-numeric
+            rows.append((i, [None if isinstance(c, (bool, str)) else c for c in row]))
+        frames = _parse_rows(rows, path)
     frame_rate = data.get("frame_rate")
     if frame_rate is not None and type(frame_rate) not in (int, float):
         raise ChromaError(f'{path}: "frame_rate" must be a number')
-    return ChromaSequence(_parse_rows(rows, path), frame_rate=frame_rate, source=str(path))
+    return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
 
 
 def _json_list(items, indent: int) -> str:

@@ -53,8 +53,8 @@ from .descriptors import (
     harmonic_change,
     wholetoneness,
 )
-from .errors import ChromaError, DegenerateInputError, TonalSpaceError
-from .key import BUNDLED_PROFILES, PROFILE_DIR_ENV, build_profile_set, estimate_key
+from .errors import ChromaError, DegenerateInputError, TonalSpaceError, UnknownProfileError
+from .key import build_profile_set, estimate_key
 
 ANALYZE_COLUMNS = (
     "frame",
@@ -74,32 +74,21 @@ class UsageError(Exception):
 # ---------------------------------------------------------------- plumbing
 
 
-def _detect_format(path: str) -> str:
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".csv":
-        return "csv"
-    if ext == ".json":
-        return "json"
-    if ext in (".wav", ".wave"):
-        return "wav"
-    raise UsageError(
-        f"cannot infer input format from {path!r}; pass --format csv|json|wav"
-    )
+_FORMATS = {".csv": "csv", ".json": "json", ".wav": "wav", ".wave": "wav"}
 
 
 def _load_sequence(path: str, fmt: str, args) -> tuple[ChromaSequence, str]:
     if fmt == "auto":
-        fmt = _detect_format(path)
-    if fmt == "csv":
-        return load_chroma_csv(path), fmt
-    if fmt == "json":
-        return load_chroma_json(path), fmt
-    return (
-        extract_chroma_wav(
-            path, window_size=args.window_size, hop_size=args.hop_size
-        ),
-        fmt,
-    )
+        fmt = _FORMATS.get(os.path.splitext(path)[1].lower())
+        if fmt is None:
+            raise UsageError(
+                f"cannot infer input format from {path!r}; pass --format csv|json|wav"
+            )
+    if fmt == "wav":
+        seq = extract_chroma_wav(path, window_size=args.window_size, hop_size=args.hop_size)
+    else:
+        seq = (load_chroma_csv if fmt == "csv" else load_chroma_json)(path)
+    return seq, fmt
 
 
 def _parse_weights(text):
@@ -132,20 +121,10 @@ def _parse_threshold(text):
     return value
 
 
-def _resolve_profiles(args, weights):
-    """Build the key-profile set, classifying unknown names as usage errors."""
-    name = args.profile
-    if name not in BUNDLED_PROFILES:
-        directory = os.environ.get(PROFILE_DIR_ENV)
-        candidate = directory and os.path.join(directory, f"{name}.json")
-        if not (candidate and os.path.exists(candidate)):
-            raise UsageError(
-                f"unknown profile {name!r}; use one of {', '.join(BUNDLED_PROFILES)} "
-                f"or provide {name}.json in ${PROFILE_DIR_ENV}"
-            )
-    if args.alpha is not None and not args.alpha > 0:
-        raise UsageError("--alpha must be positive")
-    return build_profile_set(name, alpha_override=args.alpha, weights=weights)
+def _parse_alpha(value):
+    if value is not None and not 0 < value <= sys.float_info.max:
+        raise UsageError("--alpha must be a positive finite number")
+    return value
 
 
 _FRAME_JSON = "{" + ",".join(f'\n      "{c}": %s' for c in ANALYZE_COLUMNS) + "\n    }"
@@ -183,7 +162,7 @@ def _emit(text: str, out_path) -> None:
 def cmd_analyze(args) -> int:
     weights = _parse_weights(args.weights)
     threshold = _parse_threshold(args.threshold)
-    profiles = _resolve_profiles(args, weights)
+    profiles = build_profile_set(args.profile, _parse_alpha(args.alpha), weights=weights)
     if args.window_avg < 1:
         raise UsageError("--window-avg must be a positive integer")
 
@@ -255,7 +234,7 @@ def _global_tiv(path, args, weights):
 
 def cmd_key(args) -> int:
     weights = _parse_weights(args.weights)
-    profiles = _resolve_profiles(args, weights)
+    profiles = build_profile_set(args.profile, _parse_alpha(args.alpha), weights=weights)
     result = estimate_key(_global_tiv(args.input, args, weights), profiles)
     sys.stdout.write(f"{result.index} {result.label}\n")
     return 0
@@ -272,12 +251,8 @@ def cmd_combine(args) -> int:
 def cmd_distance(args) -> int:
     weights = _parse_weights(args.weights)
     tivs = [_global_tiv(path, args, weights) for path in (args.a, args.b)]
-    if args.metric == "euclid":
-        value = euclid(*tivs)
-    elif args.metric == "cosine":
-        value = cosine_distance(*tivs)
-    else:
-        value = cosine_similarity(*tivs)
+    metric = {"euclid": euclid, "cosine": cosine_distance, "cosine-sim": cosine_similarity}
+    value = metric[args.metric](*tivs)
     sys.stdout.write(repr(float(value)) + "\n")
     return 0
 
@@ -335,8 +310,8 @@ def _add_profile_options(sp) -> None:
     sp.add_argument(
         "--profile",
         default="temperley",
-        help="key profile set: temperley, shaath, or a name resolved via "
-        f"${PROFILE_DIR_ENV} (default: temperley)",
+        help="key profile set: temperley, shaath, or <name> for <name>.json in "
+        "$TONALSPACE_PROFILE_DIR (default: temperley)",
     )
     sp.add_argument(
         "--alpha",
@@ -386,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     key.set_defaults(func=cmd_key)
 
     comb = sub.add_parser(
-        "combine", help="energy-weighted mix of the inputs' interval vectors"
+        "combine",
+        help="energy-weighted mix of the inputs' interval vectors "
+        "(one input prints its own global vector)",
     )
     comb.add_argument("inputs", nargs="+")
     _add_input_options(comb)
@@ -428,22 +405,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if isinstance(code, int):
-            return code
-        return 0 if code is None else 2
+    except SystemExit as exc:  # argparse: 0 after --help, 2 for bad flags
+        return exc.code
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TonalSpaceError, OSError) as exc:
         print(f"tonalspace: error: {exc}", file=sys.stderr)
-        return 2
-    except TonalSpaceError as exc:
-        print(f"tonalspace: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"tonalspace: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UsageError, UnknownProfileError)) else 1
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ Batch shapes: ``tiv_from_chroma`` takes one (12,) chroma vector or an
 is a ``Tiv`` with ``coeffs`` of shape (6,) and a float ``energy``; a batch
 is a ``Tiv`` with (N, 6) ``coeffs`` and an (N,) ``energy`` array.  The
 one-vector ``Tiv`` is the N = 1 case: ``batch[i]`` is the vector of row i,
-bit-identical to transforming that row alone.  Functions of vectors
-(``mag``, ``phases``, ``transpose`` and the descriptors) act row-wise on a
-batch.
+bit-identical to transforming that row alone.  ``mag``, ``phases``,
+``transpose``, the four qualities and ``euclid`` act row-wise on a batch;
+``combine``'s operands, the cosine, ``estimate_key`` and ``Tiv.to_dict``
+take one vector and refuse a batch with ChromaError.
 """
 
 from __future__ import annotations
@@ -50,11 +51,20 @@ def as_chroma(bins) -> np.ndarray:
     return _as_bins(bins, ndims=(1,))
 
 
-def _as_bins(bins, ndims) -> np.ndarray:
+def _as_floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array; strings (which ``dtype=float`` would
+    parse), mappings, None and ragged rows raise ChromaError."""
     try:
-        arr = np.asarray(bins, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a dict, ragged rows
-        raise ChromaError(f"chroma bins must be numbers: {exc}") from None
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged rows, or more than 64 dimensions
+        raise ChromaError(f"{what} must be numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ChromaError(f"{what} must be numbers, got {arr.dtype} values")
+    return arr.astype(float, copy=False)
+
+
+def _as_bins(bins, ndims) -> np.ndarray:
+    arr = _as_floats(bins, "chroma bins")
     if arr.ndim not in ndims or arr.shape[-1] != N_BINS:
         raise ChromaError(
             f"chroma must have exactly {N_BINS} bins, got shape {arr.shape}"
@@ -68,7 +78,7 @@ def _as_bins(bins, ndims) -> np.ndarray:
 
 def as_weights(weights) -> np.ndarray:
     """Validate and return an interval weight vector of shape (6,)."""
-    arr = np.asarray(weights, dtype=float)
+    arr = _as_floats(weights, "weights")
     if arr.shape != (N_COEFFS,):
         raise ChromaError(
             f"weights must have exactly {N_COEFFS} entries, got shape {arr.shape}"
@@ -76,6 +86,11 @@ def as_weights(weights) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ChromaError("weights must be finite and strictly positive")
     return arr
+
+
+def _require_single(what: str, *tivs) -> None:
+    if any(t.coeffs.ndim != 1 for t in tivs):
+        raise ChromaError(f"{what} takes one interval vector, not a batch")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -130,6 +145,7 @@ class Tiv:
 
     def to_dict(self) -> dict:
         """JSON-ready form of one vector: {"coeffs": [[re, im] x 6], "energy": x}."""
+        _require_single("to_dict", self)
         return {
             "coeffs": [[z.real, z.imag] for z in self.coeffs],
             "energy": self.energy,
@@ -173,7 +189,8 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
     c = _as_bins(chroma, ndims=(1, 2))
     w = as_weights(weights)
     frames = c.reshape(-1, N_BINS)
-    energy = frames.sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite energy is refused by Tiv
+        energy = frames.sum(axis=1)
     silent = energy == 0.0
     spectrum = np.fft.fft(frames / np.where(silent, 1.0, energy)[:, None], axis=1)
     coeffs = spectrum[:, 1 : N_COEFFS + 1] * w
@@ -213,6 +230,7 @@ def combine(tivs) -> Tiv:
     ts = list(tivs)
     if len(ts) < 2:
         raise DegenerateInputError("combine needs at least two operands")
+    _require_single("combine", *ts)
     for t in ts[1:]:
         _require_same_weights(ts[0], t)
     energies = np.array([t.energy for t in ts])

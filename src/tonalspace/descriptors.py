@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_COEFFS, Tiv, _frozen, _require_same_weights
+from .core import N_COEFFS, Tiv, _frozen, _require_same_weights, _require_single
 from .errors import ChromaError, DegenerateInputError, InsufficientInputError
 
 # Coefficient subset matching Harte-style change detection: circles of
@@ -90,6 +90,7 @@ def cosine_similarity(t1: Tiv, t2: Tiv) -> float:
     fit or mix.  Raises for a zero-norm operand (silence or the uniform
     profile), where the angle is undefined.
     """
+    _require_single("cosine_similarity", t1, t2)
     _require_same_weights(t1, t2)
     n1 = np.linalg.norm(t1.coeffs)
     n2 = np.linalg.norm(t2.coeffs)
@@ -134,7 +135,7 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
         At least three frames, all sharing one weight vector.
     threshold : "adaptive" or float
         Peak floor.  "adaptive" uses mean + 1 std of the curve, which is
-        scale-free across chroma sources; a number is used as-is.
+        scale-free across chroma sources; a finite number is used as-is.
     coeffs : iterable of int, optional
         1-based coefficient subset to measure over (e.g. ``HARTE_COEFFS``);
         default uses all six.
@@ -163,10 +164,12 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
     else:
         try:
             floor = float(threshold)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            floor = np.nan
+        if isinstance(threshold, (bool, np.bool_, str)) or not np.isfinite(floor):
             raise ChromaError(
-                f"threshold must be 'adaptive' or a number, got {threshold!r}"
-            ) from None
+                f"threshold must be 'adaptive' or a finite number, got {threshold!r}"
+            )
 
     middle = values[1:-1]
     is_peak = (values[:-2] < middle) & (middle >= values[2:]) & (middle >= floor)

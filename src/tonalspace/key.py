@@ -22,9 +22,17 @@ from importlib import resources
 
 import numpy as np
 
-from .core import DEFAULT_WEIGHTS, Tiv, _frozen, as_chroma, tiv_from_chroma
+from .core import (
+    DEFAULT_WEIGHTS,
+    Tiv,
+    _frozen,
+    _require_same_weights,
+    _require_single,
+    as_chroma,
+    tiv_from_chroma,
+)
 from .descriptors import _sqnorm
-from .errors import ChromaError, DegenerateInputError, WeightMismatchError
+from .errors import ChromaError, DegenerateInputError, UnknownProfileError
 
 PROFILE_DIR_ENV = "TONALSPACE_PROFILE_DIR"
 BUNDLED_PROFILES = ("temperley", "shaath")
@@ -74,14 +82,18 @@ class KeyResult:
         }
 
 
-def _profile_path(name: str, profile_dir=None) -> str:
-    directory = profile_dir or os.environ.get(PROFILE_DIR_ENV)
-    if directory:
-        candidate = os.path.join(directory, f"{name}.json")
-        # the override directory wins when it has the file; bundled names
-        # fall back to package data, unknown names must come from the dir
-        if os.path.exists(candidate) or name not in BUNDLED_PROFILES:
-            return candidate
+def _profile_path(name: str) -> str:
+    """The file holding profile set ``name``: ``<name>.json`` in the override
+    directory when it is there, else the bundled file of that name."""
+    directory = os.environ.get(PROFILE_DIR_ENV)
+    candidate = directory and os.path.join(directory, f"{name}.json")
+    if candidate and os.path.exists(candidate):
+        return candidate
+    if name not in BUNDLED_PROFILES:
+        raise UnknownProfileError(
+            f"unknown profile {name!r}; use one of {', '.join(BUNDLED_PROFILES)} "
+            f"or provide {name}.json in ${PROFILE_DIR_ENV}"
+        )
     return str(resources.files("tonalspace").joinpath("profiles", f"{name}.json"))
 
 
@@ -103,6 +115,8 @@ def load_profile_file(path) -> dict:
             raise ChromaError(f"profile file {path} is missing field {field!r}")
     as_chroma(data["major"])
     as_chroma(data["minor"])
+    if bool in map(type, data["major"] + data["minor"]):  # as_chroma reads 0 or 1
+        raise ChromaError(f"profile file {path}: major and minor must hold numbers")
     alpha = data["alpha"]  # type(): a JSON boolean is no number
     if type(alpha) not in (int, float) or not 0 < alpha <= sys.float_info.max:
         raise ChromaError(f"profile file {path}: alpha must be a positive finite number")
@@ -116,28 +130,25 @@ def build_profile_set(
     major_profile=None,
     minor_profile=None,
     weights=DEFAULT_WEIGHTS,
-    profile_dir=None,
 ) -> KeyProfileSet:
     """Load (or assemble) a key profile set and precompute its 24 vectors.
 
     ``name`` is one of the bundled sets ("temperley", alpha 0.2;
-    "shaath", alpha 0.55), any ``<name>.json`` under ``profile_dir`` /
-    ``TONALSPACE_PROFILE_DIR``, or "custom", which requires
-    ``major_profile``, ``minor_profile`` and ``alpha_override``.
+    "shaath", alpha 0.55) or any ``<name>.json`` under
+    ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
+    "custom" given ``major_profile`` or ``minor_profile`` is assembled from
+    them instead, and requires both plus ``alpha_override``.
     """
-    if name == "custom":
+    if name == "custom" and (major_profile is not None or minor_profile is not None):
         if major_profile is None or minor_profile is None or alpha_override is None:
             raise ChromaError(
                 "custom profile set requires major_profile, minor_profile and alpha_override"
             )
-        major = as_chroma(major_profile)
-        minor = as_chroma(minor_profile)
-        alpha = float(alpha_override)
+        data = {"major": major_profile, "minor": minor_profile}
     else:
-        data = load_profile_file(_profile_path(name, profile_dir))
-        major = as_chroma(data["major"])
-        minor = as_chroma(data["minor"])
-        alpha = float(data["alpha"] if alpha_override is None else alpha_override)
+        data = load_profile_file(_profile_path(name))
+    major, minor = as_chroma(data["major"]), as_chroma(data["minor"])
+    alpha = float(data["alpha"] if alpha_override is None else alpha_override)
     if not (np.isfinite(alpha) and alpha > 0):
         raise ChromaError("alpha must be a positive finite number")
 
@@ -161,14 +172,12 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     coefficients themselves are.  Silence and a zero-norm vector (uniform
     chroma, equally far from all 12 references of a mode) are refused.
     """
+    _require_single("estimate_key", t)
     if t.is_silent:
         raise DegenerateInputError("cannot estimate a key for silence")
     if np.linalg.norm(t.coeffs) == 0.0:
         raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
-    if not np.array_equal(t.weights, profiles.profile_tivs.weights):
-        raise WeightMismatchError(
-            "input and profile set use different interval weight vectors"
-        )
+    _require_same_weights(t, profiles.profile_tivs)
     queries = np.array([t.coeffs] * 12 + [t.coeffs * profiles.alpha] * 12)
     distances = np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs))
     index = int(np.argmin(distances))

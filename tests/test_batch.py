@@ -8,14 +8,19 @@ the floating-point summation order the batched forms must keep.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tonalspace import (
     HARTE_COEFFS,
+    ChromaError,
     build_profile_set,
     chromaticity,
+    combine,
+    cosine_distance,
+    cosine_similarity,
     diatonicity,
     dissonance,
     estimate_key,
@@ -101,3 +106,20 @@ def test_key_distances_match_per_reference_norm(rng):
                 for r in range(24)
             ]
             assert np.array_equal(estimate_key(t, profiles).distances, want)
+
+
+ONE_VECTOR_CALLS = {
+    "estimate_key": lambda b: estimate_key(b, build_profile_set("temperley")),
+    "cosine_similarity": lambda b: cosine_similarity(b, b),
+    "cosine_distance": lambda b: cosine_distance(b[0], b),
+    "combine": lambda b: combine([b, b]),
+    "to_dict": lambda b: b.to_dict(),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("name", sorted(ONE_VECTOR_CALLS))
+def test_one_vector_functions_refuse_a_batch(name, rows):
+    batch = tiv_from_chroma(np.random.default_rng(rows).uniform(size=(rows, 12)))
+    with pytest.raises(ChromaError, match="not a batch"):
+        ONE_VECTOR_CALLS[name](batch)

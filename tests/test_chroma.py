@@ -349,6 +349,28 @@ class TestJson:
         with pytest.raises(ChromaError, match=message):
             load_chroma_json(path)
 
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            ([["1"] * 12], "row 0: non-numeric chroma value"),
+            ([[1] * 12, [1] * 11 + [" 2 "]], "row 1: non-numeric chroma value"),
+            ([[1] * 12, [1] * 11 + [None]], "row 1: non-numeric chroma value"),
+        ],
+        ids=["all-strings", "padded-string", "null"],
+    )
+    def test_strings_are_not_numbers(self, tmp_path, frames, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"frames": frames}))
+        with pytest.raises(ChromaError, match=message):
+            load_chroma_json(path)
+
+    def test_boolean_words_outside_the_frames(self, tmp_path):
+        path = tmp_path / "c.json"
+        frames = [[0.25, 1, 2**60] + [0.0] * 9]
+        path.write_text(json.dumps({"source": "true", "frames": frames}))
+        got = load_chroma_json(path).frames
+        assert got.tolist() == [[float(v) for v in frames[0]]]
+
     def test_row_numbered_diagnostics(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"frames": [[1.0] * 12, [1.0] * 11]}))

@@ -297,6 +297,31 @@ class TestKey:
         write_chroma_csv(path, [TEMPERLEY_MAJOR])
         assert main(["key", str(path), "--profile", "bogus"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf", "1e400"])
+    def test_alpha_must_be_positive_finite_exit_2(self, tmp_path, capsys, alpha):
+        path = tmp_path / "prof.csv"
+        write_chroma_csv(path, [TEMPERLEY_MAJOR])
+        assert main(["key", str(path), f"--alpha={alpha}"]) == 2
+        err = capsys.readouterr().err
+        assert err == "tonalspace: error: --alpha must be a positive finite number\n"
+
+    def test_custom_profile_is_unknown_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("TONALSPACE_PROFILE_DIR", raising=False)
+        path = tmp_path / "prof.csv"
+        write_chroma_csv(path, [TEMPERLEY_MAJOR])
+        assert main(["key", str(path), "--profile", "custom", "--alpha", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "tonalspace: error: unknown profile 'custom'; use one of temperley, "
+            "shaath or provide custom.json in $TONALSPACE_PROFILE_DIR\n"
+        )
+
+    def test_overflowing_sum_exit_1_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        write_chroma_csv(path, [np.full(12, 1e308)])
+        assert main(["key", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tonalspace: error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "text",
         ["5", '{"name": "h", "major": %s, "minor": %s, "alpha": 1%s}' % (

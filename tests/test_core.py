@@ -49,6 +49,8 @@ class TestValidation:
             [1j] * 12,
             [10**400] * 12,
             "abc",
+            ["1"] * 12,
+            [None] * 12,
         ],
     )
     def test_as_chroma_rejects_invalid(self, bad):
@@ -56,7 +58,17 @@ class TestValidation:
             as_chroma(bad)
 
     @pytest.mark.parametrize(
-        "bad", [np.ones(5), np.zeros(6), -np.ones(6), np.full(6, np.nan)]
+        "bad",
+        [
+            np.ones(5),
+            np.zeros(6),
+            -np.ones(6),
+            np.full(6, np.nan),
+            ["a"] * 6,
+            ["1"] * 6,
+            {"a": 1},
+            [[1.0] * 6, [1.0] * 5],
+        ],
     )
     def test_as_weights_rejects_invalid(self, bad):
         with pytest.raises(ChromaError):
@@ -271,3 +283,17 @@ class TestTranspose:
             both = p0.valid & p1.valid
             delta = (p1.values - expected)[both]
             assert np.allclose(np.mod(delta + np.pi, 2 * np.pi) - np.pi, 0, atol=1e-9)
+
+
+def test_all_is_the_public_api():
+    import types
+
+    import tonalspace
+
+    assert len(set(tonalspace.__all__)) == len(tonalspace.__all__)
+    for name in tonalspace.__all__:
+        assert not isinstance(getattr(tonalspace, name), types.ModuleType), name
+    namespace = {}
+    exec("from tonalspace import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(tonalspace.__all__)

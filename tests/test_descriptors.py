@@ -310,6 +310,16 @@ class TestHarmonicChange:
         with pytest.raises(ChromaError, match="threshold"):
             harmonic_change(tivs, threshold="foo")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, np.inf, -np.inf, True, np.True_, "0.5", 10**400],
+        ids=["nan", "inf", "-inf", "bool", "numpy-bool", "string", "huge-int"],
+    )
+    def test_threshold_must_be_a_finite_number(self, bad):
+        tivs = [tiv_from_chroma(MAJOR_TRIAD)] * 3
+        with pytest.raises(ChromaError, match="threshold"):
+            harmonic_change(tivs, threshold=bad)
+
     def test_too_few_frames_rejected(self):
         t = tiv_from_chroma(MAJOR_TRIAD)
         with pytest.raises(InsufficientInputError):

@@ -10,6 +10,7 @@ import pytest
 from tonalspace import (
     ChromaError,
     DegenerateInputError,
+    UnknownProfileError,
     WeightMismatchError,
     build_profile_set,
     estimate_key,
@@ -72,6 +73,28 @@ class TestProfileSets:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ChromaError):
             build_profile_set("nonexistent")
+
+    @pytest.mark.parametrize("name", ["nosuch", "custom"])
+    def test_unknown_profile_error(self, tmp_path, monkeypatch, name):
+        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
+        message = (
+            f"unknown profile '{name}'; use one of temperley, shaath or provide "
+            f"{name}.json in $TONALSPACE_PROFILE_DIR"
+        )
+        with pytest.raises(UnknownProfileError) as info:
+            build_profile_set(name, alpha_override=0.5)
+        assert str(info.value) == message
+        monkeypatch.delenv(PROFILE_DIR_ENV)
+        with pytest.raises(UnknownProfileError):
+            build_profile_set(name)
+
+    @pytest.mark.parametrize("cell", ["1", True], ids=["string", "boolean"])
+    def test_profile_cells_must_be_json_numbers(self, tmp_path, monkeypatch, cell):
+        data = {"name": "h", "major": [cell] * 12, "minor": [1.0] * 12, "alpha": 0.5}
+        (tmp_path / "h.json").write_text(json.dumps(data))
+        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
+        with pytest.raises(ChromaError):
+            build_profile_set("h")
 
     def test_custom_profile(self):
         ps = build_profile_set(
