@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_BINS, _as_floats, _frozen
+from .core import N_BINS, _as_bins, _as_int, _as_real, _frozen
 from .errors import ChromaError, DegenerateInputError
 
 # Built-in extractor defaults; override via function arguments / CLI flags.
@@ -43,55 +43,30 @@ class ChromaSequence:
     source: str = ""
 
     def __post_init__(self):
-        frames = _as_floats(self.frames, "chroma frames")
-        if frames.ndim == 1 and frames.size == 0:
-            frames = frames.reshape(0, N_BINS)
-        if frames.ndim != 2 or frames.shape[1] != N_BINS:
-            raise ChromaError(
-                f"chroma frames must form an (N, {N_BINS}) array, got shape {frames.shape}"
-            )
-        if frames.size:
-            if not np.all(np.isfinite(frames)):
-                raise ChromaError("chroma frames must be finite")
-            if np.any(frames < 0):
-                raise ChromaError("chroma frames must be nonnegative")
+        object.__setattr__(self, "frames", _frozen(_as_bins(self.frames, ndims=(2,))))
         if self.frame_rate is not None:
-            try:
-                rate = float(self.frame_rate)
-            except OverflowError:  # an integer beyond the float range
-                rate = np.inf
-            if not (np.isfinite(rate) and rate > 0):
-                raise ChromaError("frame_rate must be a positive finite number")
+            rate = _as_real(self.frame_rate, "frame_rate", positive=True)
             object.__setattr__(self, "frame_rate", rate)
-        object.__setattr__(self, "frames", _frozen(frames))
 
     def __len__(self) -> int:
         return self.frames.shape[0]
 
 
 def _checked(rows):
-    """``rows`` as an (N, 12) float array when they are finite nonnegative
-    numbers, else None (a string or None cell gives a non-numeric dtype)."""
+    """``rows`` as an (N, 12) array of finite nonnegative numbers, else None."""
     try:
-        frames = np.asarray(rows)
-    except (ValueError, OverflowError):  # ragged or too deeply nested rows
+        return _as_bins(rows, ndims=(2,))
+    except ChromaError:
         return None
-    if frames.dtype.kind in "iuf" and frames.ndim == 2 and frames.shape[1] == N_BINS:
-        frames = frames.astype(float, copy=False)
-        if np.all(np.isfinite(frames) & (frames >= 0)):
-            return frames
-    return None
 
 
 def _parse_rows(rows, path) -> np.ndarray:
     """Validate (line_number, cells) pairs into an (N, 12) array in one
     vectorised pass; only on failure does the row loop name the bad row."""
     try:
-        frames = _checked([[float(cell) for cell in cells] for _, cells in rows])
-    except (TypeError, ValueError, OverflowError):
-        frames = None
-    if frames is not None:
-        return frames
+        return _as_bins([[float(cell) for cell in cells] for _, cells in rows], ndims=(2,))
+    except (TypeError, ValueError, OverflowError):  # ChromaError is a ValueError
+        pass
     # the loop raises on the first bad row; it only completes without rows
     for line_num, cells in rows:
         if len(cells) != N_BINS:
@@ -212,8 +187,8 @@ def load_chroma_json(path) -> ChromaSequence:
             rows.append((i, [None if isinstance(c, (bool, str)) else c for c in row]))
         frames = _parse_rows(rows, path)
     frame_rate = data.get("frame_rate")
-    if frame_rate is not None and type(frame_rate) not in (int, float):
-        raise ChromaError(f'{path}: "frame_rate" must be a number')
+    if frame_rate is not None:
+        frame_rate = _as_real(frame_rate, f'{path}: "frame_rate"', positive=True)
     return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
 
 
@@ -247,8 +222,8 @@ def global_chroma(seq: ChromaSequence, start=None, stop=None) -> np.ndarray:
     trades instantaneous detail for a global summary of a passage.
     """
     n = len(seq)
-    lo = 0 if start is None else int(start)
-    hi = n if stop is None else int(stop)
+    lo = 0 if start is None else _as_int(start, "start")
+    hi = n if stop is None else _as_int(stop, "stop")
     if lo < 0 or hi > n or lo >= hi:
         raise DegenerateInputError(
             f"empty or out-of-bounds frame range [{lo}, {hi}) for {n} frames"
@@ -266,15 +241,14 @@ def window_average(seq: ChromaSequence, n: int) -> ChromaSequence:
     A ragged final block is averaged over its own length.  The frame rate
     divides by ``n``.  ``n`` = 1 returns the sequence unchanged.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ChromaError("window-average size must be a positive integer")
-    if n == 1:
+    if _as_int(n, "window-average size", minimum=1) == 1:
         return seq
     blocks = [
         seq.frames[i : i + n].mean(axis=0) for i in range(0, len(seq), n)
     ]
     rate = None if seq.frame_rate is None else seq.frame_rate / n
-    return ChromaSequence(np.array(blocks), frame_rate=rate, source=seq.source)
+    frames = np.array(blocks).reshape(-1, N_BINS)  # no blocks: (0, 12), not (0,)
+    return ChromaSequence(frames, frame_rate=rate, source=seq.source)
 
 
 def _to_float_samples(data: np.ndarray, path) -> np.ndarray:
@@ -307,18 +281,15 @@ def extract_chroma_wav(
     The STFT runs in blocks of about 1 MB of samples, so working memory
     beyond the samples is one frames x band-bins power buffer.
     """
-    if (
-        not isinstance(window_size, (int, np.integer))
-        or window_size < 2
-        or window_size & (window_size - 1)
-    ):
+    window_size = _as_int(window_size, "window_size", minimum=2)
+    if window_size & (window_size - 1):
         raise ChromaError("window_size must be a power of two >= 2")
-    if not isinstance(hop_size, (int, np.integer)) or hop_size < 1:
-        raise ChromaError("hop_size must be a positive integer")
-    if not (0 < fmin < fmax):
+    hop_size = _as_int(hop_size, "hop_size", minimum=1)
+    fmin = _as_real(fmin, "fmin", positive=True)
+    fmax = _as_real(fmax, "fmax")
+    if not fmin < fmax:
         raise ChromaError("need 0 < fmin < fmax")
-    if not ref_a4 > 0:
-        raise ChromaError("reference A4 frequency must be positive")
+    ref_a4 = _as_real(ref_a4, "reference A4 frequency", positive=True)
 
     from scipy.io import wavfile  # imported here: scipy.io is slow to import
 

@@ -41,7 +41,7 @@ from .chroma import (
     load_chroma_json,
     window_average,
 )
-from .core import DEFAULT_WEIGHTS, as_weights, combine, tiv_from_chroma
+from .core import DEFAULT_WEIGHTS, _as_real, as_weights, combine, tiv_from_chroma
 from .descriptors import (
     HARTE_COEFFS,
     chromaticity,
@@ -116,15 +116,17 @@ def _parse_threshold(text):
         raise UsageError(
             f"--threshold must be 'adaptive' or a number, got {text!r}"
         ) from None
-    if not np.isfinite(value):
-        raise UsageError("--threshold must be finite")
-    return value
+    try:
+        return _as_real(value, "--threshold")
+    except ChromaError:
+        raise UsageError("--threshold must be finite") from None
 
 
 def _parse_alpha(value):
-    if value is not None and not 0 < value <= sys.float_info.max:
-        raise UsageError("--alpha must be a positive finite number")
-    return value
+    try:
+        return None if value is None else _as_real(value, "--alpha", positive=True)
+    except ChromaError:
+        raise UsageError("--alpha must be a positive finite number") from None
 
 
 _FRAME_JSON = "{" + ",".join(f'\n      "{c}": %s' for c in ANALYZE_COLUMNS) + "\n    }"
@@ -274,7 +276,7 @@ def cmd_extract_chroma(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_input_options(sp, *, out_format_default=None) -> None:
+def _add_input_options(sp) -> None:
     sp.add_argument(
         "--format",
         choices=("auto", "csv", "json", "wav"),
@@ -287,6 +289,10 @@ def _add_input_options(sp, *, out_format_default=None) -> None:
         metavar="W1,...,W6",
         help="override the 6 interval weights (default 3,8,11.5,15,14.5,7.5)",
     )
+    _add_stft_options(sp)
+
+
+def _add_stft_options(sp) -> None:
     sp.add_argument(
         "--window-size",
         type=int,
@@ -296,13 +302,16 @@ def _add_input_options(sp, *, out_format_default=None) -> None:
     sp.add_argument(
         "--hop-size", type=int, default=DEFAULT_HOP_SIZE, help="STFT hop for WAV input"
     )
-    if out_format_default:
-        sp.add_argument("--out", default=None, help="output file (default: stdout)")
+
+
+def _add_output_options(sp, *, out_format=True) -> None:
+    sp.add_argument("--out", default=None, help="output file (default: stdout)")
+    if out_format:
         sp.add_argument(
             "--out-format",
             choices=("csv", "json"),
-            default=out_format_default,
-            help=f"output format (default: {out_format_default})",
+            default="csv",
+            help="output format (default: csv)",
         )
 
 
@@ -351,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="coefficients for harmonic change: all six, or the 3/4/5 subset",
     )
-    _add_input_options(analyze, out_format_default="csv")
+    _add_input_options(analyze)
+    _add_output_options(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     key = sub.add_parser("key", help="estimate the global key; prints '<index> <label>'")
@@ -367,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comb.add_argument("inputs", nargs="+")
     _add_input_options(comb)
-    comb.add_argument("--out", default=None, help="output file (default: stdout)")
+    _add_output_options(comb, out_format=False)
     comb.set_defaults(func=cmd_combine)
 
     dist = sub.add_parser("distance", help="distance between two inputs")
@@ -384,18 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     extract = sub.add_parser("extract-chroma", help="WAV -> chroma CSV/JSON")
     extract.add_argument("input")
-    extract.add_argument(
-        "--window-size",
-        type=int,
-        default=DEFAULT_WINDOW_SIZE,
-        help="STFT window (power of two)",
-    )
-    extract.add_argument("--hop-size", type=int, default=DEFAULT_HOP_SIZE)
+    _add_stft_options(extract)
     extract.add_argument("--fmin", type=float, default=DEFAULT_FMIN)
     extract.add_argument("--fmax", type=float, default=DEFAULT_FMAX)
     extract.add_argument("--a4", type=float, default=DEFAULT_A4)
-    extract.add_argument("--out", default=None, help="output file (default: stdout)")
-    extract.add_argument("--out-format", choices=("csv", "json"), default="csv")
+    _add_output_options(extract)
     extract.set_defaults(func=cmd_extract_chroma)
 
     return parser

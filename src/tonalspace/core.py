@@ -24,6 +24,7 @@ take one vector and refuse a batch with ChromaError.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +52,40 @@ def as_chroma(bins) -> np.ndarray:
     return _as_bins(bins, ndims=(1,))
 
 
-def _as_floats(values, what: str) -> np.ndarray:
-    """``values`` as a float array; strings (which ``dtype=float`` would
-    parse), mappings, None and ragged rows raise ChromaError."""
+def _as_floats(values, what: str, kinds: str = "iuf") -> np.ndarray:
+    """``values`` as a float array, or a complex one when ``kinds`` admits
+    "c"; booleans, strings (which ``dtype=float`` would parse), mappings,
+    None and ragged rows raise ChromaError."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged rows, or more than 64 dimensions
         raise ChromaError(f"{what} must be numbers: {exc}") from None
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in kinds:
         raise ChromaError(f"{what} must be numbers, got {arr.dtype} values")
-    return arr.astype(float, copy=False)
+    return arr.astype(complex if "c" in kinds else float, copy=False)
+
+
+def _as_real(value, what: str, positive: bool = False) -> float:
+    """``value``, a ``numbers.Real`` but no bool, as a finite float (> 0 if ``positive``)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ChromaError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = np.inf
+    if not np.isfinite(x) or (positive and x <= 0):
+        kind = "positive finite" if positive else "finite"
+        raise ChromaError(f"{what} must be a {kind} number, got {x!r}")
+    return x
+
+
+def _as_int(value, what: str, minimum: int | None = None) -> int:
+    """``value``, a ``numbers.Integral`` but no bool, as an int of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ChromaError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ChromaError(f"{what} must be at least {minimum}")
+    return int(value)
 
 
 def _as_bins(bins, ndims) -> np.ndarray:
@@ -114,8 +139,8 @@ class Tiv:
     weights: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        energy = np.asarray(self.energy, dtype=float)
+        coeffs = _as_floats(self.coeffs, "coeffs", kinds="iufc")
+        energy = _as_floats(self.energy, "energy")
         if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != N_COEFFS:
             raise ChromaError(f"coeffs must have shape (6,) or (N, 6), got {coeffs.shape}")
         if energy.shape != coeffs.shape[:-1]:
@@ -153,11 +178,17 @@ class Tiv:
 
     @classmethod
     def from_dict(cls, data: dict, weights=DEFAULT_WEIGHTS) -> "Tiv":
+        """Inverse of ``to_dict``; booleans and strings raise ChromaError."""
         try:
-            coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-            energy = float(data["energy"])
-        except (KeyError, TypeError, ValueError) as exc:
+            pairs, energy = data["coeffs"], data["energy"]
+            shape = _as_floats(pairs, "coeffs").shape
+        except (KeyError, TypeError) as exc:
             raise ChromaError(f"malformed interval vector dict: {exc!r}") from None
+        if shape != (N_COEFFS, 2):
+            raise ChromaError(f"malformed interval vector dict: coeffs of shape {shape}")
+        coeffs = [
+            complex(_as_real(re, "coeffs"), _as_real(im, "coeffs")) for re, im in pairs
+        ]
         return cls(coeffs=coeffs, energy=energy, weights=weights)
 
 
@@ -250,9 +281,7 @@ def transpose(t: Tiv, semitones: int) -> Tiv:
     building the vector from the circularly rotated chroma.  Energy and
     magnitudes are unchanged.
     """
-    if not isinstance(semitones, (int, np.integer)) or isinstance(semitones, bool):
-        raise ChromaError(f"semitones must be an integer, got {semitones!r}")
-    p = int(semitones) % N_BINS
+    p = _as_int(semitones, "semitones") % N_BINS
     if p == 0:
         return t
     k = np.arange(1, N_COEFFS + 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_COEFFS, Tiv, _frozen, _require_same_weights, _require_single
+from .core import N_COEFFS, Tiv, _as_real, _frozen, _require_same_weights, _require_single
 from .errors import ChromaError, DegenerateInputError, InsufficientInputError
 
 # Coefficient subset matching Harte-style change detection: circles of
@@ -159,17 +159,10 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
     values = np.zeros(n)
     values[1:-1] = np.sqrt(np.sum(np.abs(matrix[2:] - matrix[:-2]) ** 2, axis=1))
 
-    if threshold == "adaptive":
+    if isinstance(threshold, str) and threshold == "adaptive":  # arrays compare per item
         floor = float(values.mean() + values.std())
     else:
-        try:
-            floor = float(threshold)
-        except (TypeError, ValueError, OverflowError):
-            floor = np.nan
-        if isinstance(threshold, (bool, np.bool_, str)) or not np.isfinite(floor):
-            raise ChromaError(
-                f"threshold must be 'adaptive' or a finite number, got {threshold!r}"
-            )
+        floor = _as_real(threshold, "threshold")
 
     middle = values[1:-1]
     is_peak = (values[:-2] < middle) & (middle >= values[2:]) & (middle >= floor)

@@ -9,13 +9,17 @@ a stray numpy error or warning:
   the cosine and a ``combine`` of only silence raise DegenerateInputError,
   as key estimation and the cosine do for a zero-norm (uniform) chroma.
 - ChromaError: NaN, infinite or negative bins; bins whose sum overflows the
-  float range; a NaN or infinite threshold; NaN, infinite or non-positive
-  weights and alphas; a batch passed to a function of one vector
-  (``estimate_key``, the cosine, ``combine``'s operands, ``Tiv.to_dict``).
-- Booleans and strings are not numbers: chroma, weight and profile arrays
-  refuse strings (numpy reads ``"1"`` as 1.0), ``harmonic_change`` a boolean
-  threshold, and JSON chroma files and profile files both.  CSV cells are
-  text by nature and are parsed as numbers.
+  float range; NaN, infinite or non-positive weights; a batch passed to a
+  function of one vector (``estimate_key``, the cosine, ``combine``'s
+  operands, ``Tiv.to_dict``); and any argument that breaks the next rules.
+- Counts, indices and shifts (window and hop sizes, ``global_chroma``
+  bounds, ``transpose``'s semitones) are integers.  Thresholds, rates,
+  frequencies and alphas are finite reals.  Booleans and strings are
+  neither, and an integer beyond the float range is not finite.
+- Boolean and string arrays are not chroma, weights, profiles or ``Tiv``
+  values (numpy reads ``"1"`` as 1.0); JSON chroma and profile files refuse
+  booleans and strings as values.  CSV cells are text by nature and are
+  parsed as numbers.
 - A profile name that is neither bundled nor a ``<name>.json`` in
   ``$TONALSPACE_PROFILE_DIR`` raises UnknownProfileError (CLI exit 2); a
   malformed profile file raises ChromaError (exit 1).

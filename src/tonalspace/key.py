@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,6 +24,7 @@ import numpy as np
 from .core import (
     DEFAULT_WEIGHTS,
     Tiv,
+    _as_real,
     _frozen,
     _require_same_weights,
     _require_single,
@@ -117,9 +117,7 @@ def load_profile_file(path) -> dict:
     as_chroma(data["minor"])
     if bool in map(type, data["major"] + data["minor"]):  # as_chroma reads 0 or 1
         raise ChromaError(f"profile file {path}: major and minor must hold numbers")
-    alpha = data["alpha"]  # type(): a JSON boolean is no number
-    if type(alpha) not in (int, float) or not 0 < alpha <= sys.float_info.max:
-        raise ChromaError(f"profile file {path}: alpha must be a positive finite number")
+    _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
     return data
 
 
@@ -148,9 +146,8 @@ def build_profile_set(
     else:
         data = load_profile_file(_profile_path(name))
     major, minor = as_chroma(data["major"]), as_chroma(data["minor"])
-    alpha = float(data["alpha"] if alpha_override is None else alpha_override)
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ChromaError("alpha must be a positive finite number")
+    alpha = data["alpha"] if alpha_override is None else alpha_override
+    alpha = _as_real(alpha, "alpha", positive=True)
 
     rotations = [np.roll(profile, r) for profile in (major, minor) for r in range(12)]
     return KeyProfileSet(

@@ -439,7 +439,11 @@ class TestAggregation:
         seq = ChromaSequence(np.ones((3, 12)))
         assert window_average(seq, 1) is seq
 
-    @pytest.mark.parametrize("n", [0, -2, 1.5])
+    def test_window_average_of_no_frames(self):
+        seq = ChromaSequence(np.zeros((0, 12)), frame_rate=4.0)
+        assert window_average(seq, 2).frames.shape == (0, 12)
+
+    @pytest.mark.parametrize("n", [0, -2, 1.5, True, "2"])
     def test_window_average_bad_size(self, n):
         with pytest.raises(ChromaError):
             window_average(ChromaSequence(np.ones((3, 12))), n)
@@ -492,7 +496,7 @@ class TestWavExtraction:
         assert len(seq) == expected
         assert seq.frame_rate == sr / 512
 
-    @pytest.mark.parametrize("window", [0, 1000, -4, 3])
+    @pytest.mark.parametrize("window", [0, 1000, -4, 3, 4096.0, "4096"])
     def test_bad_window_rejected(self, tmp_path, window):
         path = tmp_path / "a.wav"
         sine_wav(path, 440.0)

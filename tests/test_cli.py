@@ -1,11 +1,16 @@
 """Tests for the batch CLI: subcommands, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import tonalspace
 from tonalspace import (
     DEFAULT_WEIGHTS,
     build_profile_set,
@@ -547,3 +552,18 @@ class TestTopLevel:
         got = np.array([complex(re, im) for re, im in data["coeffs"]])
         assert np.allclose(got, want.coeffs, atol=1e-15)
         assert data["energy"] == want.energy
+
+    def test_import_does_not_load_scipy(self):
+        """``scipy.io`` is imported only when a WAV is read, so the start-up
+        of every other command does not pay for it."""
+        src = str(Path(tonalspace.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys, tonalspace, tonalspace.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -1,5 +1,7 @@
 """Tests for the chroma-to-interval-vector transform and its algebra."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,16 @@ from tonalspace import (
     DEFAULT_WEIGHTS,
     PHASE_EPS,
     ChromaError,
+    ChromaSequence,
     DegenerateInputError,
     Tiv,
     WeightMismatchError,
     as_chroma,
     as_weights,
+    build_profile_set,
     combine,
+    extract_chroma_wav,
+    global_chroma,
     mag,
     phases,
     tiv_from_chroma,
@@ -51,6 +57,8 @@ class TestValidation:
             "abc",
             ["1"] * 12,
             [None] * 12,
+            [True] * 12,
+            np.ones(12, dtype=bool),
         ],
     )
     def test_as_chroma_rejects_invalid(self, bad):
@@ -73,6 +81,54 @@ class TestValidation:
     def test_as_weights_rejects_invalid(self, bad):
         with pytest.raises(ChromaError):
             as_weights(bad)
+
+
+TONE_WAV = Path(__file__).parent / "data" / "golden" / "tone.wav"
+FIVE_FRAMES = ChromaSequence(np.ones((5, 12)))
+ONE_HOT_DICT = {"coeffs": [[w, 0.0] for w in DEFAULT_WEIGHTS], "energy": 1.0}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: build_profile_set("temperley", "abc"), id="alpha-abc"),
+        pytest.param(lambda: build_profile_set("temperley", "0.5"), id="alpha-string"),
+        pytest.param(lambda: build_profile_set("temperley", True), id="alpha-bool"),
+        pytest.param(lambda: global_chroma(FIVE_FRAMES, 1.5), id="start-float"),
+        pytest.param(lambda: global_chroma(FIVE_FRAMES, True), id="start-bool"),
+        pytest.param(lambda: global_chroma(FIVE_FRAMES, "2"), id="start-string"),
+        pytest.param(lambda: global_chroma(FIVE_FRAMES, 0, 1.5), id="stop-float"),
+        pytest.param(lambda: ChromaSequence(np.ones((2, 12)), "x"), id="rate-text"),
+        pytest.param(lambda: ChromaSequence(np.ones((2, 12)), "5"), id="rate-string"),
+        pytest.param(lambda: ChromaSequence(np.ones((2, 12)), True), id="rate-bool"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, fmin="55"), id="fmin-string"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, fmin=True), id="fmin-bool"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, fmax="55"), id="fmax-string"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, fmax=True), id="fmax-bool"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, fmax=np.inf), id="fmax-inf"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, ref_a4="440"), id="a4-string"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, ref_a4=True), id="a4-bool"),
+        pytest.param(lambda: extract_chroma_wav(TONE_WAV, hop_size=True), id="hop-bool"),
+        pytest.param(lambda: Tiv(["1"] * 6, 1.0, DEFAULT_WEIGHTS), id="tiv-coeffs-string"),
+        pytest.param(lambda: Tiv([True] * 6, 1.0, DEFAULT_WEIGHTS), id="tiv-coeffs-bool"),
+        pytest.param(lambda: Tiv([1.0] * 6, "1", DEFAULT_WEIGHTS), id="tiv-energy-string"),
+        pytest.param(
+            lambda: Tiv.from_dict({**ONE_HOT_DICT, "energy": "2"}), id="dict-energy-string"
+        ),
+        pytest.param(
+            lambda: Tiv.from_dict({**ONE_HOT_DICT, "coeffs": [[True, 0]] * 6}),
+            id="dict-coeffs-bool",
+        ),
+        pytest.param(lambda: as_weights(np.ones(6, dtype=bool)), id="weights-bool-array"),
+        pytest.param(lambda: ChromaSequence(np.ones((2, 12), dtype=bool)), id="frames-bool"),
+        pytest.param(lambda: ChromaSequence([]), id="frames-1d-empty"),
+    ],
+)
+def test_non_numbers_are_refused(call):
+    """Every library argument that must be a number of some kind refuses
+    booleans, strings and the wrong kind of number with ChromaError."""
+    with pytest.raises(ChromaError):
+        call()
 
 
 class TestTivConstruction:
@@ -263,7 +319,7 @@ class TestTranspose:
         assert transpose(t, 12) is t
         assert transpose(t, 0) is t
 
-    @pytest.mark.parametrize("shift", [1.5, 2.0, np.float64(3.0), True, "3"])
+    @pytest.mark.parametrize("shift", [1.5, 2.0, np.float64(3.0), True, "3", np.True_, None])
     def test_non_integer_shift_rejected(self, shift):
         with pytest.raises(ChromaError):
             transpose(tiv_from_chroma(binary_chroma([0, 4, 7])), shift)

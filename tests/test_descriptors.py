@@ -312,8 +312,11 @@ class TestHarmonicChange:
 
     @pytest.mark.parametrize(
         "bad",
-        [np.nan, np.inf, -np.inf, True, np.True_, "0.5", 10**400],
-        ids=["nan", "inf", "-inf", "bool", "numpy-bool", "string", "huge-int"],
+        [
+            np.nan, np.inf, -np.inf, True, np.True_, "0.5", 10**400,
+            np.array([0.5, 0.6]),
+        ],
+        ids=["nan", "inf", "-inf", "bool", "numpy-bool", "string", "huge-int", "array"],
     )
     def test_threshold_must_be_a_finite_number(self, bad):
         tivs = [tiv_from_chroma(MAJOR_TRIAD)] * 3
