@@ -165,8 +165,7 @@ def load_chroma_json(path) -> ChromaSequence:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        data = json.loads(text)
+            data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma JSON {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
@@ -176,8 +175,7 @@ def load_chroma_json(path) -> ChromaSequence:
     raw = data["frames"]
     if not isinstance(raw, list):
         raise ChromaError(f'{path}: "frames" must be a list of 12-element rows')
-    # numpy reads a boolean as 1: only a text without one takes the fast path
-    frames = None if "true" in text or "false" in text else _checked(raw)
+    frames = _checked(raw)
     if frames is None:  # the row loop names the bad row
         rows = []
         for i, row in enumerate(raw):

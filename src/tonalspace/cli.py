@@ -4,7 +4,8 @@ Subcommands compose the library into file-in/file-out pipelines:
 
   analyze         chroma (CSV/JSON) or WAV in -> per-frame descriptor table,
                   harmonic-change curve/peaks, global qualities + key estimate
-  key             global key estimate, printed as "<index> <label>"
+  key             global key estimate per input, printed as "<index> <label>"
+                  (one "<path><TAB><index> <label>" line per input given several)
   combine         energy-weighted mix of the inputs' interval vectors
   distance        Euclidean or cosine distance between two inputs
   extract-chroma  minimal WAV -> chroma extraction to CSV/JSON
@@ -19,6 +20,7 @@ Exit codes: 0 success, 1 runtime/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,6 +71,15 @@ ANALYZE_COLUMNS = (
 
 class UsageError(Exception):
     """Bad flags or arguments; maps to exit code 2."""
+
+
+_ERRORS = (UsageError, TonalSpaceError, OSError)
+
+
+def _report(exc, prefix: str = "") -> int:
+    """Print one of ``_ERRORS`` as one stderr line; returns its exit code."""
+    print(f"tonalspace: error: {prefix}{exc}", file=sys.stderr)
+    return 2 if isinstance(exc, (UsageError, UnknownProfileError)) else 1
 
 
 # ---------------------------------------------------------------- plumbing
@@ -235,11 +246,20 @@ def _global_tiv(path, args, weights):
 
 
 def cmd_key(args) -> int:
+    """One key per input; a bad input reports its error and the rest still run."""
     weights = _parse_weights(args.weights)
     profiles = build_profile_set(args.profile, _parse_alpha(args.alpha), weights=weights)
-    result = estimate_key(_global_tiv(args.input, args, weights), profiles)
-    sys.stdout.write(f"{result.index} {result.label}\n")
-    return 0
+    several = len(args.inputs) > 1
+    code = 0
+    for path in args.inputs:
+        try:
+            result = estimate_key(_global_tiv(path, args, weights), profiles)
+        except _ERRORS as exc:
+            code = max(code, _report(exc, f"{path}: " if several else ""))
+            continue
+        line = f"{result.index} {result.label}\n"
+        sys.stdout.write(f"{path}\t{line}" if several else line)
+    return code
 
 
 def cmd_combine(args) -> int:
@@ -364,8 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
-    key = sub.add_parser("key", help="estimate the global key; prints '<index> <label>'")
-    key.add_argument("input")
+    key = sub.add_parser(
+        "key",
+        help="estimate each input's global key; prints '<index> <label>', "
+        "prefixed by '<path><TAB>' given several inputs",
+    )
+    key.add_argument("inputs", nargs="+", metavar="input")
     _add_profile_options(key)
     _add_input_options(key)
     key.set_defaults(func=cmd_key)
@@ -404,17 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built by the first main(), then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 for bad flags
         return exc.code
     try:
         return args.func(args)
-    except (UsageError, TonalSpaceError, OSError) as exc:
-        print(f"tonalspace: error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (UsageError, UnknownProfileError)) else 1
+    except _ERRORS as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

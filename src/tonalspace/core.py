@@ -24,6 +24,7 @@ take one vector and refuse a batch with ChromaError.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ DEFAULT_WEIGHTS.flags.writeable = False
 # Coefficient magnitudes below this carry no usable phase information.
 PHASE_EPS = 1e-10
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
 
 def as_chroma(bins) -> np.ndarray:
     """Validate and return a chroma vector as a float array of shape (12,).
@@ -54,14 +57,20 @@ def as_chroma(bins) -> np.ndarray:
 
 def _as_floats(values, what: str, kinds: str = "iuf") -> np.ndarray:
     """``values`` as a float array, or a complex one when ``kinds`` admits
-    "c"; booleans, strings (which ``dtype=float`` would parse), mappings,
-    None and ragged rows raise ChromaError."""
+    "c"; booleans (also one among numbers in a list or tuple), strings
+    (which ``dtype=float`` would parse), mappings, None and ragged rows
+    raise ChromaError."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged rows, or more than 64 dimensions
         raise ChromaError(f"{what} must be numbers: {exc}") from None
     if arr.dtype.kind not in kinds:
         raise ChromaError(f"{what} must be numbers, got {arr.dtype} values")
+    # np.asarray reads a boolean among numbers as 0 or 1
+    if isinstance(values, (list, tuple)) and arr.ndim in (1, 2):
+        cells = values if arr.ndim == 1 else itertools.chain.from_iterable(values)
+        if not _BOOL_TYPES.isdisjoint(map(type, cells)):
+            raise ChromaError(f"{what} must be numbers, got a boolean")
     return arr.astype(complex if "c" in kinds else float, copy=False)
 
 

@@ -10,14 +10,19 @@ are C..B minor.
 Profile tables ship as JSON data files (``profiles/``) rather than inline
 constants so their provenance stays auditable; ``TONALSPACE_PROFILE_DIR``
 points the loader at an alternative directory.
+
+``build_profile_set`` reads and validates the profile file on every call,
+so an edited or malformed override file takes effect at once; the 24
+reference vectors are memoised by the profiles' and weights' contents, so a
+process estimating many keys computes them once per distinct profile set.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .core import (
     _require_same_weights,
     _require_single,
     as_chroma,
+    as_weights,
     tiv_from_chroma,
 )
 from .descriptors import _sqnorm
@@ -36,6 +42,7 @@ from .errors import ChromaError, DegenerateInputError, UnknownProfileError
 
 PROFILE_DIR_ENV = "TONALSPACE_PROFILE_DIR"
 BUNDLED_PROFILES = ("temperley", "shaath")
+_BUNDLED_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "profiles")
 
 PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
@@ -94,7 +101,7 @@ def _profile_path(name: str) -> str:
             f"unknown profile {name!r}; use one of {', '.join(BUNDLED_PROFILES)} "
             f"or provide {name}.json in ${PROFILE_DIR_ENV}"
         )
-    return str(resources.files("tonalspace").joinpath("profiles", f"{name}.json"))
+    return os.path.join(_BUNDLED_DIR, f"{name}.json")
 
 
 def load_profile_file(path) -> dict:
@@ -113,10 +120,11 @@ def load_profile_file(path) -> dict:
     for field in ("name", "major", "minor", "alpha"):
         if field not in data:
             raise ChromaError(f"profile file {path} is missing field {field!r}")
-    as_chroma(data["major"])
-    as_chroma(data["minor"])
-    if bool in map(type, data["major"] + data["minor"]):  # as_chroma reads 0 or 1
-        raise ChromaError(f"profile file {path}: major and minor must hold numbers")
+    for field in ("major", "minor"):
+        try:
+            as_chroma(data[field])
+        except ChromaError as exc:
+            raise ChromaError(f"profile file {path}: {field}: {exc}") from None
     _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
     return data
 
@@ -148,15 +156,23 @@ def build_profile_set(
     major, minor = as_chroma(data["major"]), as_chroma(data["minor"])
     alpha = data["alpha"] if alpha_override is None else alpha_override
     alpha = _as_real(alpha, "alpha", positive=True)
-
-    rotations = [np.roll(profile, r) for profile in (major, minor) for r in range(12)]
+    w = as_weights(weights)
     return KeyProfileSet(
         name=name,
         major_profile=major,
         minor_profile=minor,
         alpha=alpha,
-        profile_tivs=tiv_from_chroma(np.array(rotations), weights),
+        profile_tivs=_references(major.tobytes(), minor.tobytes(), w.tobytes()),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _references(major: bytes, minor: bytes, weights: bytes) -> Tiv:
+    """The 24 reference vectors of a profile pair, from the float64 bytes of
+    the profiles and weights; row r of each half is ``np.roll(profile, r)``."""
+    rotate = (np.arange(12) - np.arange(12)[:, None]) % 12
+    profiles = [np.frombuffer(profile)[rotate] for profile in (major, minor)]
+    return tiv_from_chroma(np.concatenate(profiles), np.frombuffer(weights))
 
 
 def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:

@@ -27,6 +27,7 @@ from tonalspace import (
     tiv_from_chroma,
     wholetoneness,
 )
+from tonalspace import cli
 from tonalspace.cli import ANALYZE_COLUMNS, main
 
 from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma
@@ -56,6 +57,16 @@ def one_hot_files(tmp_path):
         write_chroma_csv(p, [binary_chroma([pc])])
         paths[pc] = p
     return paths
+
+
+def fresh_python(code):
+    """Exit code, stdout and stderr of ``python -c code`` in a new interpreter
+    that imports this source tree."""
+    src = str(Path(tonalspace.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return run.returncode, run.stdout, run.stderr
 
 
 def run_json(capsys, argv):
@@ -341,6 +352,57 @@ class TestKey:
         assert main(["key", str(path), "--profile", "house"]) == 1
         assert "profile file" in capsys.readouterr().err
 
+    def test_rewritten_profile_file_between_calls(self, tmp_path, capsys, monkeypatch):
+        """The profile file is read on every call: an edit in the override
+        directory changes the next in-process result, and a malformed
+        rewrite is refused."""
+        monkeypatch.setenv("TONALSPACE_PROFILE_DIR", str(tmp_path))
+        path = tmp_path / "prof.csv"
+        write_chroma_csv(path, [TEMPERLEY_MAJOR])
+        house = tmp_path / "house.json"
+        data = {"name": "house", "major": TEMPERLEY_MAJOR, "minor": [1.0] * 12, "alpha": 1}
+        argv = ["key", str(path), "--profile", "house"]
+        house.write_text(json.dumps(data))
+        assert main(argv) == 0
+        house.write_text(json.dumps({**data, "major": np.roll(TEMPERLEY_MAJOR, 7).tolist()}))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0 C major\n5 F major\n"
+        for text in ("5", json.dumps({**data, "major": [True] * 12})):
+            house.write_text(text)
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("tonalspace: error: profile file ")
+
+    def test_many_inputs_in_input_order(self, tmp_path, capsys):
+        paths = []
+        for shift in (7, 0, 2):
+            paths.append(str(tmp_path / f"k{shift}.csv"))
+            write_chroma_csv(paths[-1], [np.roll(TEMPERLEY_MAJOR, shift)])
+        assert main(["key", *paths]) == 0
+        assert capsys.readouterr().out == (
+            f"{paths[0]}\t7 G major\n{paths[1]}\t0 C major\n{paths[2]}\t2 D major\n"
+        )
+
+    def test_many_inputs_one_bad_file_exit_1(self, tmp_path, capsys):
+        good, silent = tmp_path / "good.csv", tmp_path / "silent.csv"
+        missing = tmp_path / "missing.csv"
+        write_chroma_csv(good, [TEMPERLEY_MAJOR])
+        write_chroma_csv(silent, [np.zeros(12)])
+        assert main(["key", str(silent), str(good), str(missing), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"{good}\t0 C major\n" * 2
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        assert err[0] == f"tonalspace: error: {silent}: cannot estimate a key for silence"
+        assert err[1].startswith(f"tonalspace: error: {missing}: ")
+
+    def test_many_inputs_unknown_profile_exit_2_before_reading(self, tmp_path, capsys):
+        missing = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        assert main(["key", *missing, "--profile", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tonalspace: error: unknown profile 'bogus'")
+        assert captured.err.count("\n") == 1
+
     def test_silent_input_exit_1(self, tmp_path, capsys):
         path = tmp_path / "silent.csv"
         write_chroma_csv(path, [np.zeros(12)])
@@ -556,14 +618,55 @@ class TestTopLevel:
     def test_import_does_not_load_scipy(self):
         """``scipy.io`` is imported only when a WAV is read, so the start-up
         of every other command does not pay for it."""
-        src = str(Path(tonalspace.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
         code = (
             "import sys, tonalspace, tonalspace.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
-        run = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        assert fresh_python(code) == (0, "[]\n", "")
+
+    def test_import_builds_no_parser(self):
+        """The parser is built on the first ``main()`` call, not at import,
+        so the start-up of a process that never calls ``main`` does not pay
+        for it."""
+        code = (
+            "import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import tonalspace.cli; print(len(built))"
         )
-        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+        assert fresh_python(code) == (0, "0\n", "")
+
+    def test_reused_parser_matches_fresh_parsers(self, synthetic_csv, capsys, monkeypatch):
+        """In-process ``main()`` calls with changing flags give the outputs
+        and exit codes of the same calls each made on a fresh parser."""
+        csv = str(synthetic_csv)
+        calls = [
+            ["key", csv, "--profile", "shaath", "--alpha", "0.9"],
+            ["key", csv],
+            ["key", "--help"],
+            ["key", csv, "--bogus"],
+            ["analyze", csv, "--threshold", "0.5", "--hchange-coeffs", "harte"],
+            ["analyze", csv],
+            ["analyze", csv, "--window-avg", "x"],
+            ["combine", csv, csv, "--weights", "1,2,3,4,5,6"],
+            ["combine", csv],
+            ["distance", csv, csv, "--metric", "cosine"],
+            ["distance", csv, csv],
+            [],
+            ["--help"],
+            ["key", csv, "--weights", "1,2,3,4,5,6"],
+            ["key", csv],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                code = main(argv)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        reused = run_all()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = run_all()
+        assert reused == fresh
+        assert [code for code, *_ in reused] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0]

@@ -122,6 +122,22 @@ ONE_HOT_DICT = {"coeffs": [[w, 0.0] for w in DEFAULT_WEIGHTS], "energy": 1.0}
         pytest.param(lambda: as_weights(np.ones(6, dtype=bool)), id="weights-bool-array"),
         pytest.param(lambda: ChromaSequence(np.ones((2, 12), dtype=bool)), id="frames-bool"),
         pytest.param(lambda: ChromaSequence([]), id="frames-1d-empty"),
+        pytest.param(lambda: as_chroma([True] + [0.5] * 11), id="chroma-list-mixed-bool"),
+        pytest.param(lambda: as_weights([True, 2, 3, 4, 5, 6.0]), id="weights-list-mixed-bool"),
+        pytest.param(
+            lambda: as_weights((np.True_, 2, 3, 4, 5, 6.0)), id="weights-tuple-numpy-bool"
+        ),
+        pytest.param(
+            lambda: ChromaSequence([[0.5] * 12, [False] + [0.5] * 11]),
+            id="frames-list-mixed-bool",
+        ),
+        pytest.param(
+            lambda: tiv_from_chroma([(0.5,) * 12, (np.False_,) + (0.5,) * 11]),
+            id="frames-tuples-numpy-bool",
+        ),
+        pytest.param(
+            lambda: Tiv([True] + [1.0] * 5, 1.0, DEFAULT_WEIGHTS), id="tiv-coeffs-mixed-bool"
+        ),
     ],
 )
 def test_non_numbers_are_refused(call):

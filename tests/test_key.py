@@ -59,6 +59,28 @@ class TestProfileSets:
                 ps.profile_tivs[12 + r].coeffs, want_minor.coeffs, atol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "name, weights",
+        [("temperley", None), ("shaath", None), ("temperley", [1, 2, 3, 4, 5, 6])],
+        ids=["temperley", "shaath", "custom-weights"],
+    )
+    def test_references_equal_the_roll_construction(self, name, weights):
+        """The memoised references are bit-identical to building the 24
+        rotations with np.roll, and a second call reuses them."""
+        kwargs = {} if weights is None else {"weights": weights}
+        ps = build_profile_set(name, **kwargs)
+        rotations = [
+            np.roll(profile, r)
+            for profile in (ps.major_profile, ps.minor_profile)
+            for r in range(12)
+        ]
+        want = tiv_from_chroma(np.array(rotations), **kwargs)
+        got = ps.profile_tivs
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(got.energy, want.energy)
+        assert np.array_equal(got.weights, want.weights)
+        assert build_profile_set(name, **kwargs).profile_tivs is got
+
     def test_index_zero_is_unrotated_major(self):
         ps = build_profile_set("temperley")
         want = tiv_from_chroma(ps.major_profile)
