@@ -395,6 +395,17 @@ class TestKey:
         assert err[0] == f"tonalspace: error: {silent}: cannot estimate a key for silence"
         assert err[1].startswith(f"tonalspace: error: {missing}: ")
 
+    def test_many_inputs_unknown_format_exit_2(self, tmp_path, capsys):
+        good, unknown = tmp_path / "good.csv", tmp_path / "data.bin"
+        write_chroma_csv(good, [TEMPERLEY_MAJOR])
+        unknown.write_text("x")
+        assert main(["key", str(good), str(unknown)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"{good}\t0 C major\n"
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"tonalspace: error: {unknown}: ")
+
     def test_many_inputs_unknown_profile_exit_2_before_reading(self, tmp_path, capsys):
         missing = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
         assert main(["key", *missing, "--profile", "bogus"]) == 2

@@ -3,16 +3,17 @@
 Run from anywhere, naming two source checkouts that each hold ``tsbench/``:
 
     python3 tools/bench_record.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --workloads key-corpus analyze-csv wav-pipeline --seeds 29 \\
-        --pairs 10 --seconds 28 --out BENCH_8.json
+        --seeds 29 --out BENCH_8.json
 
-Each pair runs ``tsbench/run.py --trace 0`` once in each checkout for every
-workload, back to back; even pairs run the parent first and odd pairs the
-change, so drift of the shared machine falls on both sides alike.  Pair i
-uses seed ``seeds[i % len(seeds)]``.  The file holds every run's final JSON
-line and calibration median, and per workload and end-to-end metric each
-side's median and quartiles plus the number of pairs the change won (ties
-count for neither side), with the Python and numpy versions.
+The workloads and the run length come from the change checkout's
+``BENCHMARK.json``.  Each of the ten pairs runs ``tsbench/run.py --trace 0``
+once in each checkout for every workload, back to back; even pairs run the
+parent first and odd pairs the change, so drift of the shared machine falls
+on both sides alike.  Pair i uses seed ``seeds[i % len(seeds)]``.  The file
+holds every run's final JSON line and calibration median, and per workload
+and end-to-end metric each side's median and quartiles plus the number of
+pairs the change won (ties count for neither side), with the Python and
+numpy versions.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 CALIBRATION = re.compile(r" speed: calibration median (\S+) s ")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -79,22 +81,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=28)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     checkouts = {"parent": args.parent, "change": args.change}
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    workloads = [workload["name"] for workload in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
     runs = []
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         seed = args.seeds[pair % len(args.seeds)]
-        for workload in args.workloads:
+        for workload in workloads:
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                run = run_once(checkouts[side], workload, seed, args.seconds)
+                run = run_once(checkouts[side], workload, seed, seconds)
                 runs.append({"pair": pair, "workload": workload, "side": side,
                              "seed": seed, **run})
                 p50 = run["final"]["metrics"]["op_p50_ms"]["value"]
@@ -103,7 +104,7 @@ def main() -> int:
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": args.seeds,
         "summary": summarise(runs, better),
         "runs": runs,
