@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,22 +53,10 @@ class ChromaSequence:
         return self.frames.shape[0]
 
 
-def _checked(rows):
-    """``rows`` as an (N, 12) array of finite nonnegative numbers, else None."""
-    try:
-        return _as_bins(rows, ndims=(2,))
-    except ChromaError:
-        return None
-
-
 def _parse_rows(rows, path) -> np.ndarray:
-    """Validate (line_number, cells) pairs into an (N, 12) array in one
-    vectorised pass; only on failure does the row loop name the bad row."""
-    try:
-        return _as_bins([[float(cell) for cell in cells] for _, cells in rows], ndims=(2,))
-    except (TypeError, ValueError, OverflowError):  # ChromaError is a ValueError
-        pass
-    # the loop raises on the first bad row; it only completes without rows
+    """(line_number, cells) pairs as an (N, 12) array; raises ChromaError
+    naming the first bad row."""
+    frames = []
     for line_num, cells in rows:
         if len(cells) != N_BINS:
             raise ChromaError(
@@ -76,16 +65,17 @@ def _parse_rows(rows, path) -> np.ndarray:
         try:
             values = [float(cell) for cell in cells]
         except (TypeError, ValueError):
-            raise ChromaError(
-                f"{path}: row {line_num}: non-numeric chroma value"
-            ) from None
+            raise ChromaError(f"{path}: row {line_num}: non-numeric chroma value") from None
         except OverflowError:  # an integer beyond the float range
             values = [np.inf]
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise ChromaError(f"{path}: row {line_num}: non-finite chroma value")
-        if any(v < 0 for v in values):
+        if min(values) < 0:
             raise ChromaError(f"{path}: row {line_num}: negative chroma value")
-    raise ChromaError(f"{path}: no chroma frames found")
+        frames.append(values)
+    if not frames:
+        raise ChromaError(f"{path}: no chroma frames found")
+    return np.array(frames)
 
 
 def _is_number(text: str) -> bool:
@@ -97,8 +87,8 @@ def _is_number(text: str) -> bool:
 
 
 def _plain_csv_frames(text: str):
-    """Frames of CSV text that needs none of the csv module's rules, else None
-    (quotes, lone carriage returns, overlong fields, ragged or bad rows)."""
+    """Unchecked (N, 12) floats of CSV text that needs none of the csv module's
+    rules, else None (quotes, lone CRs, overlong fields, ragged or text rows)."""
     if "\r" in text:  # a scan for one character is far cheaper than replace
         text = text.replace("\r\n", "\n")
     lines = list(filter(None, text.split("\n")))
@@ -113,7 +103,7 @@ def _plain_csv_frames(text: str):
         frames = np.array(list(map(float, ",".join(lines).split(","))))
     except ValueError:
         return None
-    return _checked(frames.reshape(-1, N_BINS))
+    return frames.reshape(-1, N_BINS)
 
 
 def load_chroma_csv(path) -> ChromaSequence:
@@ -121,17 +111,20 @@ def load_chroma_csv(path) -> ChromaSequence:
 
     An optional first header row is detected by a non-numeric first cell.
     Blank and whitespace-only rows are skipped; cells may be quoted and may
-    carry surrounding whitespace.  Malformed rows (wrong column count,
-    negative, NaN, non-numeric) raise ChromaError naming the offending row.
+    carry surrounding whitespace; a leading BOM is ignored.  Malformed rows
+    (wrong column count, negative, NaN, text) raise ChromaError naming it.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma CSV {path}: {exc}") from exc
     frames = _plain_csv_frames(text)
     if frames is not None:
-        return ChromaSequence(frames, frame_rate=None, source=str(path))
+        try:
+            return ChromaSequence(frames, source=str(path))
+        except ChromaError:
+            pass  # the row loop names the bad row
     rows = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -143,7 +136,7 @@ def load_chroma_csv(path) -> ChromaSequence:
             rows.append((reader.line_num, [cell.strip() for cell in cells]))
     except csv.Error as exc:
         raise ChromaError(f"{path}: malformed CSV: {exc}") from exc
-    return ChromaSequence(_parse_rows(rows, path), frame_rate=None, source=str(path))
+    return ChromaSequence(_parse_rows(rows, path), source=str(path))
 
 
 def chroma_csv_text(seq: ChromaSequence) -> str:
@@ -161,10 +154,10 @@ def load_chroma_json(path) -> ChromaSequence:
     """Load chroma from JSON: {"frame_rate"?: number, "frames": [[12 numbers], ...]}.
 
     JSON booleans and strings are not numbers, neither as ``frame_rate``
-    nor as a cell.
+    (checked first) nor as a cell.  A leading BOM is ignored.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma JSON {path}: {exc}") from exc
@@ -175,19 +168,20 @@ def load_chroma_json(path) -> ChromaSequence:
     raw = data["frames"]
     if not isinstance(raw, list):
         raise ChromaError(f'{path}: "frames" must be a list of 12-element rows')
-    frames = _checked(raw)
-    if frames is None:  # the row loop names the bad row
-        rows = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list):
-                raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
-            # None makes _parse_rows call the row non-numeric
-            rows.append((i, [None if isinstance(c, (bool, str)) else c for c in row]))
-        frames = _parse_rows(rows, path)
     frame_rate = data.get("frame_rate")
     if frame_rate is not None:
         frame_rate = _as_real(frame_rate, f'{path}: "frame_rate"', positive=True)
-    return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
+    try:
+        return ChromaSequence(raw, frame_rate=frame_rate, source=str(path))
+    except ChromaError:
+        pass  # the row loop names the bad row
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
+        # None makes _parse_rows call the row non-numeric
+        rows.append((i, [None if isinstance(c, (bool, str)) else c for c in row]))
+    return ChromaSequence(_parse_rows(rows, path), frame_rate=frame_rate, source=str(path))
 
 
 def _json_list(items, indent: int) -> str:
@@ -216,8 +210,8 @@ def save_chroma_json(seq: ChromaSequence, path) -> None:
 def global_chroma(seq: ChromaSequence, start=None, stop=None) -> np.ndarray:
     """Element-wise mean of frames[start:stop] (defaults: the whole sequence).
 
-    Averaging consecutive frames before the interval-vector computation
-    trades instantaneous detail for a global summary of a passage.
+    Averaging frames before the interval-vector computation trades detail for
+    a global summary of a passage; a mean that overflows raises ChromaError.
     """
     n = len(seq)
     lo = 0 if start is None else _as_int(start, "start")
@@ -229,7 +223,10 @@ def global_chroma(seq: ChromaSequence, start=None, stop=None) -> np.ndarray:
     block = seq.frames[lo:hi]
     # baseline + mean of deviations: bit-exact when all frames are equal;
     # the clip absorbs sub-ulp cancellation noise that could dip below zero
-    mean = block[0] + (block - block[0]).mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = block[0] + (block - block[0]).mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise ChromaError("the frame mean overflows the float range")
     return np.maximum(mean, 0.0)
 
 
@@ -241,9 +238,8 @@ def window_average(seq: ChromaSequence, n: int) -> ChromaSequence:
     """
     if _as_int(n, "window-average size", minimum=1) == 1:
         return seq
-    blocks = [
-        seq.frames[i : i + n].mean(axis=0) for i in range(0, len(seq), n)
-    ]
+    with np.errstate(over="ignore"):  # an infinite mean is refused by ChromaSequence
+        blocks = [seq.frames[i : i + n].mean(axis=0) for i in range(0, len(seq), n)]
     rate = None if seq.frame_rate is None else seq.frame_rate / n
     frames = np.array(blocks).reshape(-1, N_BINS)  # no blocks: (0, 12), not (0,)
     return ChromaSequence(frames, frame_rate=rate, source=seq.source)

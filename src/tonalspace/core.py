@@ -18,8 +18,9 @@ is a ``Tiv`` with (N, 6) ``coeffs`` and an (N,) ``energy`` array.  The
 one-vector ``Tiv`` is the N = 1 case: ``batch[i]`` is the vector of row i,
 bit-identical to transforming that row alone.  ``mag``, ``phases``,
 ``transpose``, the four qualities and ``euclid`` act row-wise on a batch;
-``combine``'s operands, the cosine, ``estimate_key`` and ``Tiv.to_dict``
-take one vector and refuse a batch with ChromaError.
+``combine``'s operands, the items of a list given to ``harmonic_change``,
+the cosine, ``estimate_key`` and ``Tiv.to_dict`` take one vector and
+refuse a batch with ChromaError.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class Tiv:
             raise ChromaError(f"coeffs must have shape (6,) or (N, 6), got {coeffs.shape}")
         if energy.shape != coeffs.shape[:-1]:
             raise ChromaError("energy must hold one value per vector")
-        if not (np.all(np.isfinite(coeffs.real)) and np.all(np.isfinite(coeffs.imag))):
+        if not np.isfinite(coeffs).all():
             raise ChromaError("coeffs must be finite")
         if not (np.all(np.isfinite(energy)) and np.all(energy >= 0)):
             raise ChromaError("energy must be finite and nonnegative")
@@ -265,7 +266,7 @@ def combine(tivs) -> Tiv:
 
     Equivalent to building one vector from the summed raw chromas, computed
     directly in coefficient space.  The result's energy is the sum of the
-    operand energies.
+    operand energies; a sum or mix beyond the float range raises ChromaError.
     """
     ts = list(tivs)
     if len(ts) < 2:
@@ -274,13 +275,12 @@ def combine(tivs) -> Tiv:
     for t in ts[1:]:
         _require_same_weights(ts[0], t)
     energies = np.array([t.energy for t in ts])
-    total = float(energies.sum())
-    if total == 0.0:
+    if not energies.any():
         raise DegenerateInputError("cannot combine: all operands are silent")
-    coeffs = np.zeros(N_COEFFS, dtype=complex)
-    for t, a in zip(ts, energies):
-        coeffs += t.coeffs * a
-    return Tiv(coeffs=coeffs / total, energy=total, weights=ts[0].weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # Tiv refuses an overflow
+        total = float(energies.sum())
+        coeffs = sum(t.coeffs * a for t, a in zip(ts, energies)) / total
+    return Tiv(coeffs=coeffs, energy=total, weights=ts[0].weights)
 
 
 def transpose(t: Tiv, semitones: int) -> Tiv:

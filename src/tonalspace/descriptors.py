@@ -131,7 +131,7 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
 
     Parameters
     ----------
-    tivs : batched Tiv, or sequence of Tiv
+    tivs : batched Tiv, or sequence of single Tivs
         At least three frames, all sharing one weight vector.
     threshold : "adaptive" or float
         Peak floor.  "adaptive" uses mean + 1 std of the curve, which is
@@ -144,6 +144,7 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
         matrix = tivs.coeffs.reshape(-1, N_COEFFS)
     else:
         ts = list(tivs)
+        _require_single("harmonic_change's list", *ts)
         for t in ts[1:]:
             _require_same_weights(ts[0], t)
         matrix = np.array([t.coeffs for t in ts])

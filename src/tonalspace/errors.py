@@ -8,10 +8,11 @@ a stray numpy error or warning:
   report 0, dissonance 1, distances treat it as the origin.  Key estimation,
   the cosine and a ``combine`` of only silence raise DegenerateInputError,
   as key estimation and the cosine do for a zero-norm (uniform) chroma.
-- ChromaError: NaN, infinite or negative bins; bins whose sum overflows the
-  float range; NaN, infinite or non-positive weights; a batch passed to a
-  function of one vector (``estimate_key``, the cosine, ``combine``'s
-  operands, ``Tiv.to_dict``); and any argument that breaks the next rules.
+- ChromaError: NaN, infinite or negative bins; bin sums, frame means and
+  ``combine`` energy sums beyond the float range; NaN, infinite or
+  non-positive weights; a batch given to a function of one vector
+  (``estimate_key``, the cosine, ``combine``'s and ``harmonic_change``'s
+  list items, ``Tiv.to_dict``); and any argument that breaks the next rules.
 - Counts, indices and shifts (window and hop sizes, ``global_chroma``
   bounds, ``transpose``'s semitones) are integers.  Thresholds, rates,
   frequencies and alphas are finite reals.  Booleans and strings are
@@ -19,7 +20,7 @@ a stray numpy error or warning:
 - Boolean and string arrays are not chroma, weights, profiles or ``Tiv``
   values (numpy reads ``"1"`` as 1.0); JSON chroma and profile files refuse
   booleans and strings as values.  CSV cells are text by nature and are
-  parsed as numbers.
+  parsed as numbers.  A leading BOM in any of these files is ignored.
 - A profile name that is neither bundled nor a ``<name>.json`` in
   ``$TONALSPACE_PROFILE_DIR`` raises UnknownProfileError (CLI exit 2); a
   malformed profile file raises ChromaError (exit 1).

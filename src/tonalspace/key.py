@@ -104,14 +104,15 @@ def _profile_path(name: str) -> str:
     return os.path.join(_BUNDLED_DIR, f"{name}.json")
 
 
-def load_profile_file(path) -> dict:
-    """Read and validate a profile data file.
+def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read and check a profile data file into float ``(major, minor, alpha)``.
 
     Schema: {"name": str, "major": [12 numbers], "minor": [12 numbers],
-    "alpha": positive finite number}; extra keys (e.g. "source") are ignored.
+    "alpha": positive finite number}; extra keys (e.g. "source") and a
+    leading BOM are ignored.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
@@ -122,11 +123,11 @@ def load_profile_file(path) -> dict:
             raise ChromaError(f"profile file {path} is missing field {field!r}")
     for field in ("major", "minor"):
         try:
-            as_chroma(data[field])
+            data[field] = as_chroma(data[field])
         except ChromaError as exc:
             raise ChromaError(f"profile file {path}: {field}: {exc}") from None
-    _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
-    return data
+    alpha = _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
+    return data["major"], data["minor"], alpha
 
 
 def build_profile_set(
@@ -150,12 +151,11 @@ def build_profile_set(
             raise ChromaError(
                 "custom profile set requires major_profile, minor_profile and alpha_override"
             )
-        data = {"major": major_profile, "minor": minor_profile}
+        major, minor, alpha = as_chroma(major_profile), as_chroma(minor_profile), None
     else:
-        data = load_profile_file(_profile_path(name))
-    major, minor = as_chroma(data["major"]), as_chroma(data["minor"])
-    alpha = data["alpha"] if alpha_override is None else alpha_override
-    alpha = _as_real(alpha, "alpha", positive=True)
+        major, minor, alpha = load_profile_file(_profile_path(name))
+    if alpha_override is not None:
+        alpha = _as_real(alpha_override, "alpha", positive=True)
     w = as_weights(weights)
     return KeyProfileSet(
         name=name,

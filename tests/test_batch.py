@@ -114,6 +114,7 @@ ONE_VECTOR_CALLS = {
     "cosine_distance": lambda b: cosine_distance(b[0], b),
     "combine": lambda b: combine([b, b]),
     "to_dict": lambda b: b.to_dict(),
+    "harmonic_change": lambda b: harmonic_change([b, b, b]),
 }
 
 

@@ -252,6 +252,14 @@ class TestCsv:
         with pytest.raises(ChromaError):
             load_chroma_csv(tmp_path / "absent.csv")
 
+    def test_leading_bom_ignored(self, tmp_path):
+        rows = [np.arange(12.0), np.ones(12)]
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(plain, rows)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert len(load_chroma_csv(bom)) == 2
+        assert np.array_equal(load_chroma_csv(bom).frames, load_chroma_csv(plain).frames)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(
@@ -340,8 +348,10 @@ class TestJson:
         [
             ({"frame_rate": True, "frames": [[1] * 12]}, '"frame_rate" must be a number'),
             ({"frames": [[1] * 12, [1] * 11 + [False]]}, "row 1: non-numeric chroma value"),
+            # frame_rate is checked before the frames
+            ({"frame_rate": True, "frames": [[False] * 12]}, '"frame_rate" must be a number'),
         ],
-        ids=["frame-rate", "cell"],
+        ids=["frame-rate", "cell", "frame-rate-first"],
     )
     def test_booleans_are_not_numbers(self, tmp_path, data, message):
         path = tmp_path / "c.json"
@@ -370,6 +380,14 @@ class TestJson:
         path.write_text(json.dumps({"source": "true", "frames": frames}))
         got = load_chroma_json(path).frames
         assert got.tolist() == [[float(v) for v in frames[0]]]
+
+    def test_leading_bom_ignored(self, tmp_path):
+        path = tmp_path / "c.json"
+        text = json.dumps({"frame_rate": 2.0, "frames": [[1.0] * 12]})
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        seq = load_chroma_json(path)
+        assert seq.frame_rate == 2.0
+        assert np.array_equal(seq.frames, np.ones((1, 12)))
 
     def test_row_numbered_diagnostics(self, tmp_path):
         path = tmp_path / "c.json"
@@ -434,6 +452,19 @@ class TestAggregation:
         avg = window_average(ChromaSequence(frames), 2)
         assert len(avg) == 2
         assert np.array_equal(avg.frames[1], 6 * np.ones(12))  # tail of length 1
+
+    def test_overflowing_mean_rejected(self):
+        # the suite turns warnings into errors, so a stray overflow warning fails
+        frames = np.zeros((3, 12))
+        frames[:, 1] = 1.0
+        frames[0, 0] = 1.7e308
+        with pytest.raises(ChromaError, match="overflows"):
+            global_chroma(ChromaSequence(frames))
+
+    def test_window_average_overflow_rejected(self):
+        seq = ChromaSequence(np.full((2, 12), 1.7e308))
+        with pytest.raises(ChromaError):
+            window_average(seq, 2)
 
     def test_window_average_identity(self):
         seq = ChromaSequence(np.ones((3, 12)))

@@ -308,6 +308,12 @@ class TestCombine:
         with pytest.raises(WeightMismatchError):
             combine([t1, t2])
 
+    def test_energy_sum_beyond_float_range_rejected(self):
+        # the suite turns warnings into errors, so a stray overflow warning fails
+        t = tiv_from_chroma(binary_chroma([0]) * 1e308)
+        with pytest.raises(ChromaError):
+            combine([t, t])
+
 
 class TestTranspose:
     @pytest.mark.parametrize("p", range(12))

@@ -18,7 +18,7 @@ from tonalspace import (
     tiv_from_chroma,
     transpose,
 )
-from tonalspace.key import PITCH_CLASS_NAMES, PROFILE_DIR_ENV
+from tonalspace.key import PITCH_CLASS_NAMES, PROFILE_DIR_ENV, load_profile_file
 
 from helpers import MAJOR_TRIAD, random_chroma
 
@@ -145,6 +145,17 @@ class TestProfileSets:
         assert ps.alpha == 0.5
         # bundled names still resolve when absent from the override dir
         assert build_profile_set("temperley").alpha == 0.2
+
+    def test_load_profile_file_returns_checked_floats(self, tmp_path):
+        path = tmp_path / "ints.json"
+        data = {"name": "ints", "major": list(range(12)), "minor": [1] * 12, "alpha": 2}
+        # a leading BOM is ignored
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(data).encode())
+        major, minor, alpha = load_profile_file(path)
+        for profile, want in ((major, data["major"]), (minor, data["minor"])):
+            assert isinstance(profile, np.ndarray) and profile.dtype == np.float64
+            assert profile.shape == (12,) and profile.tolist() == want
+        assert type(alpha) is float and alpha == 2.0
 
     def test_malformed_profile_file(self, tmp_path, monkeypatch):
         (tmp_path / "broken.json").write_text('{"name": "broken", "major": [1, 2]}')
