@@ -29,6 +29,9 @@ DEFAULT_FMIN = 55.0
 DEFAULT_FMAX = 5000.0
 DEFAULT_A4 = 440.0
 
+# Bytes read at a time by the plain CSV parser.
+_PIECE_BYTES = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class ChromaSequence:
@@ -86,24 +89,54 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _plain_csv_frames(text: str):
-    """Unchecked (N, 12) floats of CSV text that needs none of the csv module's
-    rules, else None (quotes, lone CRs, overlong fields, ragged or text rows)."""
-    if "\r" in text:  # a scan for one character is far cheaper than replace
-        text = text.replace("\r\n", "\n")
-    lines = list(filter(None, text.split("\n")))
+def _text_pieces(fh, max_line: int):
+    """The text of binary UTF-8 ``fh`` in pieces of whole lines, without a
+    leading BOM.  The file is read ``_PIECE_BYTES`` at a time and each piece
+    is cut after its last ``\\n``, which splits no UTF-8 character and no
+    ``\\r\\n``.  Raises UnicodeDecodeError, or ValueError for a line of over
+    ``max_line`` bytes."""
+    rest, encoding = b"", "utf-8-sig"
+    while piece := fh.read(_PIECE_BYTES):
+        data = rest + piece
+        cut = data.rfind(b"\n") + 1
+        data, rest = data[:cut], data[cut:]
+        if len(rest) > max_line:
+            raise ValueError("line too long")
+        if data:
+            yield data.decode(encoding)
+            encoding = "utf-8"
+    yield rest.decode(encoding)
+
+
+def _plain_csv_frames(fh):
+    """Unchecked (N, 12) floats of a binary CSV file that needs none of the csv
+    module's rules, else None (quotes, lone CRs, overlong fields, ragged or
+    text rows, bytes that are not UTF-8).  The file is read in pieces, and
+    each piece's values are appended to one growing buffer."""
     limit = csv.field_size_limit()
-    if '"' in text or "\r" in text or max(map(len, lines), default=0) > limit:
-        return None
-    if lines and not _is_number(lines[0].split(",", 1)[0]):
-        del lines[0]  # header row
-    if {line.count(",") for line in lines} != {N_BINS - 1}:
-        return None
+    values = bytearray()  # the float64 values, appended piece by piece
+    header_checked = False
     try:
-        frames = np.array(list(map(float, ",".join(lines).split(","))))
-    except ValueError:
+        # a line of over 4 * limit + 8 bytes has over ``limit`` characters
+        for text in _text_pieces(fh, 4 * limit + 8):
+            if "\r" in text:  # a scan for one character is far cheaper than replace
+                text = text.replace("\r\n", "\n")
+            lines = list(filter(None, text.split("\n")))
+            if '"' in text or "\r" in text or max(map(len, lines), default=0) > limit:
+                return None
+            if lines and not header_checked:
+                header_checked = True
+                if not _is_number(lines[0].split(",", 1)[0]):
+                    del lines[0]  # header row
+            if not lines:
+                continue
+            if {line.count(",") for line in lines} != {N_BINS - 1}:
+                return None
+            cells = ",".join(lines).split(",")
+            values += np.fromiter(map(float, cells), float, len(cells)).tobytes()
+    except (UnicodeDecodeError, ValueError):
         return None
-    return frames.reshape(-1, N_BINS)
+    return np.frombuffer(values).reshape(-1, N_BINS) if values else None
 
 
 def load_chroma_csv(path) -> ChromaSequence:
@@ -113,18 +146,22 @@ def load_chroma_csv(path) -> ChromaSequence:
     Blank and whitespace-only rows are skipped; cells may be quoted and may
     carry surrounding whitespace; a leading BOM is ignored.  Malformed rows
     (wrong column count, negative, NaN, text) raise ChromaError naming it.
+    A plain file is read in fixed-size pieces; one that needs the csv
+    module's rules, or names a bad row, is read again as one text.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            frames = _plain_csv_frames(fh)
+            if frames is not None:
+                try:
+                    return ChromaSequence(frames, source=str(path))
+                except ChromaError:
+                    frames = None  # freed: the row loop below names the bad row
+            fh.seek(0)
+            with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text_fh:
+                text = text_fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma CSV {path}: {exc}") from exc
-    frames = _plain_csv_frames(text)
-    if frames is not None:
-        try:
-            return ChromaSequence(frames, source=str(path))
-        except ChromaError:
-            pass  # the row loop names the bad row
     rows = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -154,7 +191,10 @@ def load_chroma_json(path) -> ChromaSequence:
     """Load chroma from JSON: {"frame_rate"?: number, "frames": [[12 numbers], ...]}.
 
     JSON booleans and strings are not numbers, neither as ``frame_rate``
-    (checked first) nor as a cell.  A leading BOM is ignored.
+    (checked first) nor as a cell.  A leading BOM is ignored.  Unlike the
+    CSV loader, this one holds the whole file: the standard library's
+    ``json`` has no incremental parser, so the full object tree (a Python
+    float per cell) exists before the frames are built.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -234,15 +274,24 @@ def window_average(seq: ChromaSequence, n: int) -> ChromaSequence:
     """Average non-overlapping blocks of ``n`` consecutive frames.
 
     A ragged final block is averaged over its own length.  The frame rate
-    divides by ``n``.  ``n`` = 1 returns the sequence unchanged.
+    divides by ``n``.  ``n`` = 1 returns the sequence unchanged.  A block
+    whose mean overflows the float range raises ChromaError.
     """
-    if _as_int(n, "window-average size", minimum=1) == 1:
+    n = _as_int(n, "window-average size", minimum=1)
+    if n == 1:
         return seq
-    with np.errstate(over="ignore"):  # an infinite mean is refused by ChromaSequence
-        blocks = [seq.frames[i : i + n].mean(axis=0) for i in range(0, len(seq), n)]
+    frames = seq.frames
+    full = len(frames) // n * n  # frames in whole blocks
+    blocks = np.empty((-(-len(frames) // n), N_BINS))
+    with np.errstate(over="ignore"):  # an overflowing mean is refused below
+        if full:  # n may exceed what reshape takes when there is no whole block
+            frames[:full].reshape(-1, n, N_BINS).mean(axis=1, out=blocks[: full // n])
+        if full < len(frames):
+            blocks[-1] = frames[full:].mean(axis=0)
+    if not np.isfinite(blocks).all():
+        raise ChromaError("the frame mean overflows the float range")
     rate = None if seq.frame_rate is None else seq.frame_rate / n
-    frames = np.array(blocks).reshape(-1, N_BINS)  # no blocks: (0, 12), not (0,)
-    return ChromaSequence(frames, frame_rate=rate, source=seq.source)
+    return ChromaSequence(blocks, frame_rate=rate, source=seq.source)
 
 
 def _to_float_samples(data: np.ndarray, path) -> np.ndarray:

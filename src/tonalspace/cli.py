@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -142,31 +143,75 @@ def _parse_alpha(value):
 
 _FRAME_JSON = "{" + ",".join(f'\n      "{c}": %s' for c in ANALYZE_COLUMNS) + "\n    }"
 
+# Rows of the analyze report rendered at a time.
+_REPORT_ROWS = 4096
+
+
+def _row_blocks(n: int):
+    """Slices of ``_REPORT_ROWS`` rows that cover ``range(n)``."""
+    return (slice(i, i + _REPORT_ROWS) for i in range(0, n, _REPORT_ROWS))
+
+
+def _cell_blocks(n: int, times, columns, encode, no_time: str):
+    """Per block of report rows, the frame, time and ``columns`` cells as
+    text; ``encode`` writes a list of numbers, and ``no_time`` stands for
+    each time when ``times`` is None (unknown frame rate)."""
+    for rows in _row_blocks(n):
+        time_cells = itertools.repeat(no_time) if times is None else encode(times[rows].tolist())
+        cells = [encode(column[rows].tolist()) for column in columns]
+        yield [map(str, range(n)[rows]), time_cells, *cells]
+
 
 def _json_cells(values: list) -> list[str]:
     """Each number or None of ``values`` as JSON text, from one C-encoder dump."""
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def _json_report(head: dict, peaks: list, columns: list) -> str:
-    """``json.dumps(report, indent=2) + "\\n"`` of the analyze report from its
-    ``head`` (metadata, global), the peaks and the ANALYZE_COLUMNS columns;
-    only the small head goes through the slow pure-Python indenting encoder."""
-    cells = [_json_cells(column) for column in columns]
-    frames = list(map(_FRAME_JSON.__mod__, zip(*cells)))
-    lam, peaks = _json_list(cells[-1], 4), _json_list(_json_cells(peaks), 4)
-    return json.dumps(head, indent=2)[:-2] + (
-        f',\n  "hchange": {{\n    "lambda": {lam},\n    "peaks": {peaks}\n  }},'
-        f'\n  "frames": {_json_list(frames, 2)}\n}}\n'
+def _json_list_blocks(blocks, indent: int):
+    """``_json_list`` of the items of all ``blocks`` (lists of JSON texts),
+    one piece per nonempty block."""
+    pad = "\n" + " " * indent
+    lead = "[" + pad + "  "
+    for items in blocks:
+        if items:
+            yield lead + ("," + pad + "  ").join(items)
+            lead = "," + pad + "  "
+    yield "[]" if lead[0] == "[" else pad + "]"
+
+
+def _json_report(head: dict, peaks: list, n: int, times, columns):
+    """``json.dumps(report, indent=2) + "\\n"`` of the analyze report in
+    pieces, from its ``head`` (metadata, global), the peaks, the frame
+    times and the ANALYZE_COLUMNS columns after them; only the small head
+    goes through the slow pure-Python indenting encoder."""
+    # lambda is written twice, so its text is kept rather than encoded twice
+    lam = [_json_cells(columns[-1][rows].tolist()) for rows in _row_blocks(n)]
+    frames = (
+        list(map(_FRAME_JSON.__mod__, zip(*cells, lam_cells)))
+        for cells, lam_cells in zip(_cell_blocks(n, times, columns[:-1], _json_cells, "null"), lam)
     )
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "hchange": {\n    "lambda": '
+    yield from _json_list_blocks(lam, 4)
+    yield f',\n    "peaks": {_json_list(_json_cells(peaks), 4)}\n  }},\n  "frames": '
+    yield from _json_list_blocks(frames, 2)
+    yield "\n}\n"
 
 
-def _emit(text: str, out_path) -> None:
+def _csv_report(head: list[str], n: int, times, columns):
+    """The analyze CSV report in pieces: the ``head`` lines, then the frame
+    rows a block at a time."""
+    yield "\n".join(head) + "\n"
+    for cells in _cell_blocks(n, times, columns, functools.partial(map, repr), ""):
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _emit(pieces, out_path) -> None:
+    """Write the text ``pieces`` to ``out_path``, or to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ------------------------------------------------------------- subcommands
@@ -184,15 +229,15 @@ def cmd_analyze(args) -> int:
     n = len(seq)
     tivs = tiv_from_chroma(seq.frames, weights)
     qualities = (chromaticity, diatonicity, wholetoneness, dissonance)
-    columns = [quality(tivs).tolist() for quality in qualities]
+    columns = [quality(tivs) for quality in qualities]
 
     if n >= 3:
         subset = HARTE_COEFFS if args.hchange_coeffs == "harte" else None
         series = harmonic_change(tivs, threshold=threshold, coeffs=subset)
-        lam = series.values.tolist()
+        columns.append(series.values)
         peaks = series.peaks.tolist()
     else:
-        lam = [0.0] * n
+        columns.append(np.zeros(n))
         peaks = []
 
     g_tiv = tiv_from_chroma(global_chroma(seq), weights)
@@ -203,7 +248,7 @@ def cmd_analyze(args) -> int:
         key_json = None
 
     rate = seq.frame_rate
-    times = [None] * n if rate is None else (np.arange(n) / rate).tolist()
+    times = None if rate is None else np.arange(n) / rate
     metadata = {
         "command": "analyze",
         "input": args.input,
@@ -223,20 +268,16 @@ def cmd_analyze(args) -> int:
             "metadata": metadata,
             "global": {"tiv": g_tiv.to_dict(), **g_qualities, "key": key_json},
         }
-        frame_columns = [list(range(n)), times, *columns, lam]
-        _emit(_json_report(head, peaks, frame_columns), args.out)
+        _emit(_json_report(head, peaks, n, times, columns), args.out)
         return 0
 
-    lines = [f"# {key}: {json.dumps(value)}" for key, value in metadata.items()]
-    lines.append(f"# global-tiv: {json.dumps(g_tiv.to_dict())}")
-    lines += [f"# global-{kind}: {value!r}" for kind, value in g_qualities.items()]
-    lines.append(f"# key: {json.dumps(key_json)}")
-    lines.append(f"# hchange-peaks: {json.dumps(peaks)}")
-    lines.append(",".join(ANALYZE_COLUMNS))
-    time_cells = [""] * n if rate is None else map(repr, times)
-    cells = (map(repr, column) for column in (*columns, lam))
-    lines += map(",".join, zip(map(str, range(n)), time_cells, *cells))
-    _emit("\n".join(lines) + "\n", args.out)
+    head = [f"# {key}: {json.dumps(value)}" for key, value in metadata.items()]
+    head.append(f"# global-tiv: {json.dumps(g_tiv.to_dict())}")
+    head += [f"# global-{kind}: {value!r}" for kind, value in g_qualities.items()]
+    head.append(f"# key: {json.dumps(key_json)}")
+    head.append(f"# hchange-peaks: {json.dumps(peaks)}")
+    head.append(",".join(ANALYZE_COLUMNS))
+    _emit(_csv_report(head, n, times, columns), args.out)
     return 0
 
 
@@ -266,7 +307,7 @@ def cmd_combine(args) -> int:
     weights = _parse_weights(args.weights)
     tivs = [_global_tiv(path, args, weights) for path in args.inputs]
     mixed = tivs[0] if len(tivs) == 1 else combine(tivs)
-    _emit(json.dumps(mixed.to_dict(), indent=2) + "\n", args.out)
+    _emit([json.dumps(mixed.to_dict(), indent=2) + "\n"], args.out)
     return 0
 
 
@@ -289,7 +330,7 @@ def cmd_extract_chroma(args) -> int:
         ref_a4=args.a4,
     )
     render = chroma_csv_text if args.out_format == "csv" else chroma_json_text
-    _emit(render(seq), args.out)
+    _emit([render(seq)], args.out)
     return 0
 
 

@@ -12,7 +12,7 @@ All values are immutable after construction and all operations are pure,
 so they can be shared freely across threads.
 
 Batch shapes: ``tiv_from_chroma`` takes one (12,) chroma vector or an
-(N, 12) frame matrix and transforms every row in one FFT call.  One vector
+(N, 12) frame matrix and transforms the rows in blocks.  One vector
 is a ``Tiv`` with ``coeffs`` of shape (6,) and a float ``energy``; a batch
 is a ``Tiv`` with (N, 6) ``coeffs`` and an (N,) ``energy`` array.  The
 one-vector ``Tiv`` is the N = 1 case: ``batch[i]`` is the vector of row i,
@@ -43,6 +43,9 @@ DEFAULT_WEIGHTS.flags.writeable = False
 
 # Coefficient magnitudes below this carry no usable phase information.
 PHASE_EPS = 1e-10
+
+# Chroma rows per FFT call in tiv_from_chroma: ~400 kB of frames.
+_FFT_ROWS = 4096
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -222,10 +225,12 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
     """Build interval vectors from one (12,) chroma or an (N, 12) batch.
 
     Each chroma row is L1-normalised, its DFT coefficients k = 1..6 are
-    taken and scaled by ``weights``; all rows go through one FFT call.  An
-    all-zero row yields the zero vector with energy 0 (silence convention)
-    so framewise pipelines stay total over real audio.  A row whose sum
-    overflows raises ChromaError.
+    taken and scaled by ``weights``.  The rows go through the FFT in blocks
+    of ``_FFT_ROWS`` into one (N, 6) array, so working memory beyond the
+    result is one block; each row is transformed on its own, so blocks do
+    not change the bits.  An all-zero row yields the zero vector with
+    energy 0 (silence convention) so framewise pipelines stay total over
+    real audio.  A row whose sum overflows raises ChromaError.
     """
     c = _as_bins(chroma, ndims=(1, 2))
     w = as_weights(weights)
@@ -233,8 +238,12 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
     with np.errstate(over="ignore"):  # an infinite energy is refused by Tiv
         energy = frames.sum(axis=1)
     silent = energy == 0.0
-    spectrum = np.fft.fft(frames / np.where(silent, 1.0, energy)[:, None], axis=1)
-    coeffs = spectrum[:, 1 : N_COEFFS + 1] * w
+    scale = np.where(silent, 1.0, energy)[:, None]
+    coeffs = np.empty((len(frames), N_COEFFS), complex)
+    for i in range(0, len(frames), _FFT_ROWS):
+        rows = slice(i, i + _FFT_ROWS)
+        spectrum = np.fft.fft(frames[rows] / scale[rows], axis=1)
+        coeffs[rows] = spectrum[:, 1 : N_COEFFS + 1] * w
     coeffs[silent] = 0.0
     if c.ndim == 1:
         return Tiv(coeffs=coeffs[0], energy=energy[0], weights=w)

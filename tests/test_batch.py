@@ -29,6 +29,8 @@ from tonalspace import (
     wholetoneness,
 )
 
+from tonalspace import core
+
 from helpers import oracle_coeffs
 
 QUALITIES = (chromaticity, diatonicity, wholetoneness, dissonance)
@@ -58,6 +60,29 @@ def test_batch_equals_single_frames_and_oracle(frames):
     for i, row in enumerate(frames):
         assert np.array_equal(batch[i].coeffs, rows[i].coeffs)
         assert np.allclose(rows[i].coeffs, oracle_coeffs(row), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_fft_blocks_change_no_bits(rng, monkeypatch, rows):
+    frames = rng.uniform(0, 1, (50, 12))
+    frames[[4, 20, 21]] = 0.0
+    want = tiv_from_chroma(frames)
+    monkeypatch.setattr(core, "_FFT_ROWS", rows)
+    got = tiv_from_chroma(frames)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(got.energy, want.energy)
+
+
+def test_blocked_fft_equals_one_shot(rng):
+    """Three blocks against the one FFT call over every row that they replaced."""
+    frames = rng.uniform(0, 1, (2 * core._FFT_ROWS + 5, 12))
+    frames[::97] = 0.0
+    energy = frames.sum(axis=1)
+    silent = energy == 0.0
+    spectrum = np.fft.fft(frames / np.where(silent, 1.0, energy)[:, None], axis=1)
+    want = spectrum[:, 1:7] * core.DEFAULT_WEIGHTS
+    want[silent] = 0.0
+    assert np.array_equal(tiv_from_chroma(frames).coeffs, want)
 
 
 @given(chroma_batches(min_rows=3), st.sampled_from([None, HARTE_COEFFS]))

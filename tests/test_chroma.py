@@ -1,6 +1,7 @@
 """Tests for chroma file I/O, aggregation, and the WAV extractor."""
 
 import csv
+import io
 import json
 import tracemalloc
 from unittest import mock
@@ -114,6 +115,30 @@ def frames_or_message(path):
         return load_chroma_csv(path).frames
     except ChromaError as exc:
         return str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Equal error messages, or bit-identical frames."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+ROW = ",".join(["0.5", "1", "2.25", "1e-3"] * 3)
+# files a small piece size cuts in many places; the first five need no csv module
+PIECE_FILES = {
+    "crlf": ("\r\n".join([ROW] * 9) + "\r\n").encode(),
+    "bom": b"\xef\xbb\xbf" + ("\n".join([ROW] * 9) + "\n").encode(),
+    "utf8-header": ("Dó,Ré♯,Mi,Fa,Sol,La,Si♭,Do,Ré,Mi,Fa,Sol\n" + "\n".join([ROW] * 9)).encode(),
+    "blank-lines": ("\n\n" + ROW + "\n\n\n" + ROW + "\n" * 5 + ROW + "\n\n").encode(),
+    "no-final-newline": "\n".join([ROW] * 9).encode(),
+    "late-quoted-number": ("\n".join([ROW] * 8 + ['"3",' + ROW.split(",", 1)[1]]) + "\n").encode(),
+    "late-quoted-text": ("\n".join([ROW] * 8 + ['"x",' + ROW.split(",", 1)[1]]) + "\n").encode(),
+    "late-ragged": ("\n".join([ROW] * 8 + [ROW + ",1"]) + "\n").encode(),
+    "not-utf8": ("\n".join([ROW] * 8) + "\n").encode() + b"\xff\xfe,1\n",
+}
+PLAIN_FILES = ["crlf", "bom", "utf8-header", "blank-lines", "no-final-newline"]
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -297,6 +322,79 @@ class TestCsv:
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("name", list(PIECE_FILES))
+    def test_piece_size_changes_nothing(self, tmp_path, monkeypatch, name, size):
+        path = tmp_path / "c.csv"
+        path.write_bytes(PIECE_FILES[name])
+        want = frames_or_message(path)
+        monkeypatch.setattr(chroma, "_PIECE_BYTES", size)
+        assert_same_outcome(frames_or_message(path), want)
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("name", PLAIN_FILES)
+    def test_small_pieces_stay_on_the_plain_path(self, tmp_path, monkeypatch, name, size):
+        path = tmp_path / "c.csv"
+        path.write_bytes(PIECE_FILES[name])
+        want = load_chroma_csv(path).frames
+        monkeypatch.setattr(chroma, "_PIECE_BYTES", size)
+        with open(path, "rb") as fh:
+            got = chroma._plain_csv_frames(fh)
+        assert got is not None and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("late-quoted-text", "row 9: non-numeric chroma value"),
+            ("late-ragged", "row 9: expected 12 columns, got 13"),
+        ],
+    )
+    def test_a_late_bad_row_is_named(self, tmp_path, monkeypatch, name, message):
+        path = tmp_path / "c.csv"
+        path.write_bytes(PIECE_FILES[name])
+        monkeypatch.setattr(chroma, "_PIECE_BYTES", 7)
+        assert frames_or_message(path) == f"{path}: {message}"
+
+    def test_non_utf8_message_is_the_text_readers(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.csv"
+        path.write_bytes(PIECE_FILES["not-utf8"])
+        with pytest.raises(UnicodeDecodeError) as exc:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                fh.read()
+        monkeypatch.setattr(chroma, "_PIECE_BYTES", 7)
+        assert frames_or_message(path) == f"cannot read chroma CSV {path}: {exc.value}"
+
+    def test_a_long_line_stops_the_piece_reader(self, monkeypatch):
+        monkeypatch.setattr(chroma, "_PIECE_BYTES", 7)
+        pieces = chroma._text_pieces(io.BytesIO(b"1\n" + b"0" * 100), 50)
+        assert next(pieces) == "1\n"
+        with pytest.raises(ValueError):
+            next(pieces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts(), size=st.integers(1, 80))
+    def test_any_piece_size_matches_csv_reader(self, scratch_file, text, size):
+        scratch_file.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(chroma, "_PIECE_BYTES", size):
+            got = frames_or_message(scratch_file)
+        with mock.patch.object(chroma, "_plain_csv_frames", return_value=None):
+            want = frames_or_message(scratch_file)
+        assert_same_outcome(got, want)
+
+    def test_load_memory_is_bounded(self, tmp_path, rng):
+        # the whole text, its lines and every cell as a str and a float took ~19x
+        frames = rng.uniform(0, 1, (20000, 12))
+        path = tmp_path / "long.csv"
+        save_chroma_csv(ChromaSequence(frames), path)
+        tracemalloc.start()
+        try:
+            seq = load_chroma_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(seq.frames, frames)
+        assert peak < 3 * frames.nbytes
+
 
 class TestJson:
     def test_load_basic(self, tmp_path):
@@ -473,6 +571,27 @@ class TestAggregation:
     def test_window_average_of_no_frames(self):
         seq = ChromaSequence(np.zeros((0, 12)), frame_rate=4.0)
         assert window_average(seq, 2).frames.shape == (0, 12)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 100, 1000])
+    def test_window_average_equals_per_block_means(self, rng, n):
+        frames = rng.uniform(0, 1, (2503, 12)) * rng.choice([1e-300, 1.0, 1e300], (2503, 1))
+        blocks = [frames[i : i + n].mean(axis=0) for i in range(0, len(frames), n)]
+        avg = window_average(ChromaSequence(frames, frame_rate=8.0), n)
+        assert np.array_equal(avg.frames, np.array(blocks))
+        assert avg.frame_rate == 8.0 / n
+
+    @pytest.mark.parametrize("n", [2, 4])  # a whole block, a ragged one
+    def test_window_average_overflow_names_the_cause(self, n):
+        seq = ChromaSequence(np.full((3, 12), 1.7e308))
+        with pytest.raises(ChromaError, match="^the frame mean overflows the float range$"):
+            window_average(seq, n)
+
+    def test_window_average_longer_than_the_sequence(self):
+        frames = np.arange(36.0).reshape(3, 12)
+        avg = window_average(ChromaSequence(frames), 10**30)
+        assert np.array_equal(avg.frames, [frames.mean(axis=0)])
+        empty = window_average(ChromaSequence(np.zeros((0, 12))), 10**30)
+        assert empty.frames.shape == (0, 12)
 
     @pytest.mark.parametrize("n", [0, -2, 1.5, True, "2"])
     def test_window_average_bad_size(self, n):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,51 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert "row 2" in err
+
+    def test_failed_analyze_leaves_out_alone(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(["1.0"] * 12) + "\n1.0,2.0\n")
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"an earlier report\n")
+        assert main(["analyze", str(path), "--out", str(out)]) == 1
+        assert out.read_bytes() == b"an earlier report\n"
+        assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])  # no frame rate, a frame rate
+    def test_report_blocks_change_nothing(
+        self, tmp_path, capsys, monkeypatch, rng, rows, out_format, suffix
+    ):
+        frames = rng.uniform(0, 1, (23, 12))
+        frames[5] = 0.0
+        path = tmp_path / f"in{suffix}"
+        if suffix == ".csv":
+            write_chroma_csv(path, frames)
+        else:
+            path.write_text(json.dumps({"frame_rate": 21.5, "frames": frames.tolist()}))
+        argv = ["analyze", str(path), "--out-format", out_format]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_REPORT_ROWS", rows)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_analyze_memory_is_bounded(self, tmp_path, rng, synthetic_csv):
+        # the parent held the CSV text, every cell as a str and a float, and
+        # every report line at once: ~19x the frames
+        frames = rng.uniform(0, 1, (20000, 12))
+        path, out = tmp_path / "long.csv", tmp_path / "report.csv"
+        write_chroma_csv(path, frames)
+        assert main(["analyze", str(synthetic_csv), "--out", str(out)]) == 0  # warm-up
+        tracemalloc.start()
+        try:
+            code = main(["analyze", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5 * frames.nbytes  # 4.0x measured
 
     def test_missing_input_exit_1(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.csv")]) == 1
