@@ -147,10 +147,13 @@ def load_chroma_csv(path) -> ChromaSequence:
     carry surrounding whitespace; a leading BOM is ignored.  Malformed rows
     (wrong column count, negative, NaN, text) raise ChromaError naming it.
     A plain file is read in fixed-size pieces; one that needs the csv
-    module's rules, or names a bad row, is read again as one text.
+    module's rules, or names a bad row, is read again as one text (a pipe
+    is read whole first, as it cannot be read twice).
     """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb") as raw:
+            # a pipe cannot be read twice, and the row loop may need a second read
+            fh = raw if raw.seekable() else io.BytesIO(raw.read())
             frames = _plain_csv_frames(fh)
             if frames is not None:
                 try:

@@ -239,6 +239,7 @@ def cmd_analyze(args) -> int:
     else:
         columns.append(np.zeros(n))
         peaks = []
+    del tivs  # freed before the report, which needs only the columns
 
     g_tiv = tiv_from_chroma(global_chroma(seq), weights)
     g_qualities = dict(zip(ANALYZE_COLUMNS[2:6], (q(g_tiv) for q in qualities)))

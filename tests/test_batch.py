@@ -28,7 +28,6 @@ from tonalspace import (
     tiv_from_chroma,
     wholetoneness,
 )
-
 from tonalspace import core
 
 from helpers import oracle_coeffs

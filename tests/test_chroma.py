@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import tracemalloc
 from unittest import mock
 
@@ -379,6 +380,22 @@ class TestCsv:
             got = frames_or_message(scratch_file)
         with mock.patch.object(chroma, "_plain_csv_frames", return_value=None):
             want = frames_or_message(scratch_file)
+        assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("name", ["crlf", "late-quoted-number", "late-ragged"])
+    def test_a_pipe_loads_like_a_file(self, tmp_path, name):
+        path = tmp_path / "c.csv"
+        path.write_bytes(PIECE_FILES[name])
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, PIECE_FILES[name])  # well under a pipe's buffer
+            os.close(write_end)
+            got = frames_or_message(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        want = frames_or_message(path)
+        if isinstance(want, str):  # the same message, naming the pipe
+            want = want.replace(str(path), f"/dev/fd/{read_end}")
         assert_same_outcome(got, want)
 
     def test_load_memory_is_bounded(self, tmp_path, rng):

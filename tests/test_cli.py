@@ -265,8 +265,8 @@ class TestAnalyze:
         assert capsys.readouterr().out == want
 
     def test_analyze_memory_is_bounded(self, tmp_path, rng, synthetic_csv):
-        # the parent held the CSV text, every cell as a str and a float, and
-        # every report line at once: ~19x the frames
+        # a whole-text parser and a whole-report renderer, holding the CSV
+        # text, every cell as a str and a float and every report line, took ~19x
         frames = rng.uniform(0, 1, (20000, 12))
         path, out = tmp_path / "long.csv", tmp_path / "report.csv"
         write_chroma_csv(path, frames)
