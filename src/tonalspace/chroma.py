@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,9 @@ DEFAULT_A4 = 440.0
 
 # Bytes read at a time by the plain CSV parser.
 _PIECE_BYTES = 1 << 16
+
+# Rows rendered at a time by every text writer.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +55,9 @@ class ChromaSequence:
         object.__setattr__(self, "frames", _frozen(_as_bins(self.frames, ndims=(2,))))
         if self.frame_rate is not None:
             rate = _as_real(self.frame_rate, "frame_rate", positive=True)
+            last = len(self) - 1  # every frame time i / rate must be finite
+            if last > 0 and not math.isfinite(last / rate):
+                raise ChromaError(f"frame_rate {rate!r}: the time of frame {last} overflows")
             object.__setattr__(self, "frame_rate", rate)
 
     def __len__(self) -> int:
@@ -179,15 +187,59 @@ def load_chroma_csv(path) -> ChromaSequence:
     return ChromaSequence(_parse_rows(rows, path), source=str(path))
 
 
-def chroma_csv_text(seq: ChromaSequence) -> str:
-    """Chroma frames as headerless CSV text, full ``repr`` precision."""
-    return "".join(",".join(map(repr, frame)) + "\n" for frame in seq.frames.tolist())
+def _row_blocks(n: int):
+    """Slices of ``_BLOCK_ROWS`` rows that cover ``range(n)``."""
+    return (slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS))
+
+
+def _cells(column, rows):
+    """The cells ``column[rows]`` as text.  A column is an array, or one text
+    that stands for each of its cells.  ``repr`` is the one encoder: every
+    cell is an int or a finite float (frame times are finite, see
+    ``ChromaSequence``), whose ``repr`` is also its JSON form."""
+    if isinstance(column, str):
+        return itertools.repeat(column)
+    return map(repr, column[rows].tolist())
+
+
+def _csv_lines(n: int, columns):
+    """The ``n`` rows of ``columns`` as CSV lines, one piece per block of rows."""
+    for rows in _row_blocks(n):
+        cells = zip(*(_cells(column, rows) for column in columns))
+        yield "\n".join(map(",".join, cells)) + "\n"
+
+
+def _json_list(blocks, indent: int):
+    """A list laid out as ``json.dumps(..., indent=2)`` lays it out at
+    ``indent`` spaces, from ``blocks`` of items already encoded as JSON text;
+    one piece per nonempty block."""
+    pad = "\n" + " " * indent
+    sep = "," + pad + "  "
+    lead = "[" + pad + "  "
+    for items in blocks:
+        if text := sep.join(items):
+            yield lead + text
+            lead = sep
+    yield "[]" if lead[0] == "[" else pad + "]"
+
+
+def _write_text(pieces, path) -> None:
+    """Write the text ``pieces`` to ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.writelines(pieces)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(pieces)
+
+
+def chroma_csv_text(seq: ChromaSequence):
+    """Chroma frames as headerless CSV text, full ``repr`` precision, in pieces."""
+    return _csv_lines(len(seq), list(seq.frames.T))
 
 
 def save_chroma_csv(seq: ChromaSequence, path) -> None:
     """Write ``chroma_csv_text(seq)`` to ``path``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(chroma_csv_text(seq))
+    _write_text(chroma_csv_text(seq), path)
 
 
 def load_chroma_json(path) -> ChromaSequence:
@@ -227,27 +279,23 @@ def load_chroma_json(path) -> ChromaSequence:
     return ChromaSequence(_parse_rows(rows, path), frame_rate=frame_rate, source=str(path))
 
 
-def _json_list(items, indent: int) -> str:
-    """A list laid out as ``json.dumps(..., indent=2)`` lays it out at
-    ``indent`` spaces, from items already encoded as JSON text."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * indent
-    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+_ROW_JSON = "[" + ",".join(["\n      %s"] * N_BINS) + "\n    ]"
 
 
-def chroma_json_text(seq: ChromaSequence) -> str:
-    """Chroma frames (and frame_rate when known) as JSON text, laid out as
-    ``json.dumps(..., indent=2)``; ``repr`` is JSON's form of a finite float."""
+def chroma_json_text(seq: ChromaSequence):
+    """Chroma frames (and frame_rate when known) as JSON text laid out as
+    ``json.dumps(..., indent=2)``, in pieces."""
     head = "" if seq.frame_rate is None else f'  "frame_rate": {seq.frame_rate!r},\n'
-    rows = [_json_list(list(map(repr, row)), 4) for row in seq.frames.tolist()]
-    return "{\n" + head + '  "frames": ' + _json_list(rows, 2) + "\n}\n"
+    yield "{\n" + head + '  "frames": '
+    columns = list(seq.frames.T)
+    blocks = (zip(*(_cells(column, rows) for column in columns)) for rows in _row_blocks(len(seq)))
+    yield from _json_list((map(_ROW_JSON.__mod__, cells) for cells in blocks), 2)
+    yield "\n}\n"
 
 
 def save_chroma_json(seq: ChromaSequence, path) -> None:
     """Write ``chroma_json_text(seq)`` to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(chroma_json_text(seq))
+    _write_text(chroma_json_text(seq), path)
 
 
 def global_chroma(seq: ChromaSequence, start=None, stop=None) -> np.ndarray:

@@ -35,7 +35,11 @@ from .chroma import (
     DEFAULT_HOP_SIZE,
     DEFAULT_WINDOW_SIZE,
     ChromaSequence,
+    _cells,
+    _csv_lines,
     _json_list,
+    _row_blocks,
+    _write_text,
     chroma_csv_text,
     chroma_json_text,
     extract_chroma_wav,
@@ -143,75 +147,21 @@ def _parse_alpha(value):
 
 _FRAME_JSON = "{" + ",".join(f'\n      "{c}": %s' for c in ANALYZE_COLUMNS) + "\n    }"
 
-# Rows of the analyze report rendered at a time.
-_REPORT_ROWS = 4096
 
-
-def _row_blocks(n: int):
-    """Slices of ``_REPORT_ROWS`` rows that cover ``range(n)``."""
-    return (slice(i, i + _REPORT_ROWS) for i in range(0, n, _REPORT_ROWS))
-
-
-def _cell_blocks(n: int, times, columns, encode, no_time: str):
-    """Per block of report rows, the frame, time and ``columns`` cells as
-    text; ``encode`` writes a list of numbers, and ``no_time`` stands for
-    each time when ``times`` is None (unknown frame rate)."""
-    for rows in _row_blocks(n):
-        time_cells = itertools.repeat(no_time) if times is None else encode(times[rows].tolist())
-        cells = [encode(column[rows].tolist()) for column in columns]
-        yield [map(str, range(n)[rows]), time_cells, *cells]
-
-
-def _json_cells(values: list) -> list[str]:
-    """Each number or None of ``values`` as JSON text, from one C-encoder dump."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
-
-
-def _json_list_blocks(blocks, indent: int):
-    """``_json_list`` of the items of all ``blocks`` (lists of JSON texts),
-    one piece per nonempty block."""
-    pad = "\n" + " " * indent
-    lead = "[" + pad + "  "
-    for items in blocks:
-        if items:
-            yield lead + ("," + pad + "  ").join(items)
-            lead = "," + pad + "  "
-    yield "[]" if lead[0] == "[" else pad + "]"
-
-
-def _json_report(head: dict, peaks: list, n: int, times, columns):
+def _json_report(head: dict, peaks: list, n: int, columns):
     """``json.dumps(report, indent=2) + "\\n"`` of the analyze report in
-    pieces, from its ``head`` (metadata, global), the peaks, the frame
-    times and the ANALYZE_COLUMNS columns after them; only the small head
-    goes through the slow pure-Python indenting encoder."""
+    pieces, from its ``head`` (metadata, global), the peaks and the
+    ANALYZE_COLUMNS columns; only the small head goes through the slow
+    pure-Python indenting encoder."""
     # lambda is written twice, so its text is kept rather than encoded twice
-    lam = [_json_cells(columns[-1][rows].tolist()) for rows in _row_blocks(n)]
-    frames = (
-        list(map(_FRAME_JSON.__mod__, zip(*cells, lam_cells)))
-        for cells, lam_cells in zip(_cell_blocks(n, times, columns[:-1], _json_cells, "null"), lam)
-    )
+    lam = [list(_cells(columns[-1], rows)) for rows in _row_blocks(n)]
+    blocks = ([_cells(column, rows) for column in columns[:-1]] for rows in _row_blocks(n))
+    frames = (map(_FRAME_JSON.__mod__, zip(*cells, text)) for cells, text in zip(blocks, lam))
     yield json.dumps(head, indent=2)[:-2] + ',\n  "hchange": {\n    "lambda": '
-    yield from _json_list_blocks(lam, 4)
-    yield f',\n    "peaks": {_json_list(_json_cells(peaks), 4)}\n  }},\n  "frames": '
-    yield from _json_list_blocks(frames, 2)
+    yield from _json_list(lam, 4)
+    yield f',\n    "peaks": {"".join(_json_list([map(repr, peaks)], 4))}\n  }},\n  "frames": '
+    yield from _json_list(frames, 2)
     yield "\n}\n"
-
-
-def _csv_report(head: list[str], n: int, times, columns):
-    """The analyze CSV report in pieces: the ``head`` lines, then the frame
-    rows a block at a time."""
-    yield "\n".join(head) + "\n"
-    for cells in _cell_blocks(n, times, columns, functools.partial(map, repr), ""):
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _emit(pieces, out_path) -> None:
-    """Write the text ``pieces`` to ``out_path``, or to stdout."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
 
 
 # ------------------------------------------------------------- subcommands
@@ -249,7 +199,8 @@ def cmd_analyze(args) -> int:
         key_json = None
 
     rate = seq.frame_rate
-    times = None if rate is None else np.arange(n) / rate
+    no_time = "null" if args.out_format == "json" else ""  # each time at an unknown rate
+    columns = [np.arange(n), no_time if rate is None else np.arange(n) / rate, *columns]
     metadata = {
         "command": "analyze",
         "input": args.input,
@@ -269,7 +220,7 @@ def cmd_analyze(args) -> int:
             "metadata": metadata,
             "global": {"tiv": g_tiv.to_dict(), **g_qualities, "key": key_json},
         }
-        _emit(_json_report(head, peaks, n, times, columns), args.out)
+        _write_text(_json_report(head, peaks, n, columns), args.out)
         return 0
 
     head = [f"# {key}: {json.dumps(value)}" for key, value in metadata.items()]
@@ -278,7 +229,7 @@ def cmd_analyze(args) -> int:
     head.append(f"# key: {json.dumps(key_json)}")
     head.append(f"# hchange-peaks: {json.dumps(peaks)}")
     head.append(",".join(ANALYZE_COLUMNS))
-    _emit(_csv_report(head, n, times, columns), args.out)
+    _write_text(itertools.chain(["\n".join(head) + "\n"], _csv_lines(n, columns)), args.out)
     return 0
 
 
@@ -308,7 +259,7 @@ def cmd_combine(args) -> int:
     weights = _parse_weights(args.weights)
     tivs = [_global_tiv(path, args, weights) for path in args.inputs]
     mixed = tivs[0] if len(tivs) == 1 else combine(tivs)
-    _emit([json.dumps(mixed.to_dict(), indent=2) + "\n"], args.out)
+    _write_text([json.dumps(mixed.to_dict(), indent=2) + "\n"], args.out)
     return 0
 
 
@@ -331,7 +282,7 @@ def cmd_extract_chroma(args) -> int:
         ref_a4=args.a4,
     )
     render = chroma_csv_text if args.out_format == "csv" else chroma_json_text
-    _emit([render(seq)], args.out)
+    _write_text(render(seq), args.out)
     return 0
 
 

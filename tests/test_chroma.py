@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
@@ -27,7 +27,7 @@ from tonalspace import (
     window_average,
 )
 from tonalspace import chroma
-from tonalspace.chroma import chroma_json_text
+from tonalspace.chroma import chroma_csv_text, chroma_json_text
 
 
 def write_csv(path, rows, header=None):
@@ -186,10 +186,22 @@ def test_loaders_return_sequence_or_raise_chroma_error(scratch_file, data):
     frame_rate=st.none() | st.floats(0, exclude_min=True, allow_infinity=False),
 )
 def test_json_text_matches_indent_dump(frames, frame_rate):
+    # a rate at which the last frame's time overflows is refused (TestChromaSequence)
+    assume(frame_rate is None or np.isfinite((len(frames) - 1) / frame_rate))
     seq = ChromaSequence(frames, frame_rate=frame_rate)
     data = {} if seq.frame_rate is None else {"frame_rate": seq.frame_rate}
     data["frames"] = seq.frames.tolist()
-    assert chroma_json_text(seq) == json.dumps(data, indent=2) + "\n"
+    assert "".join(chroma_json_text(seq)) == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("render", [chroma_csv_text, chroma_json_text])
+@pytest.mark.parametrize("frame_rate", [None, 21.5])
+def test_text_blocks_change_nothing(monkeypatch, rng, rows, render, frame_rate):
+    seq = ChromaSequence(rng.uniform(0, 1, (23, 12)), frame_rate=frame_rate)
+    want = "".join(render(seq))
+    monkeypatch.setattr(chroma, "_BLOCK_ROWS", rows)
+    assert "".join(render(seq)) == want
 
 
 class TestChromaSequence:
@@ -197,6 +209,11 @@ class TestChromaSequence:
         seq = ChromaSequence(np.ones((3, 12)), frame_rate=10.0, source="test")
         assert len(seq) == 3
         assert seq.frame_rate == 10.0
+
+    def test_overflowing_frame_time_refused(self):
+        with pytest.raises(ChromaError, match="time of frame 2 overflows"):
+            ChromaSequence(np.ones((3, 12)), frame_rate=1e-308)
+        assert ChromaSequence(np.ones((1, 12)), frame_rate=1e-308).frame_rate == 1e-308
 
     @pytest.mark.parametrize(
         "bad",
@@ -518,6 +535,20 @@ class TestJson:
         back = load_chroma_json(path)
         assert np.array_equal(back.frames, frames)
         assert back.frame_rate == 21.5
+
+    def test_save_memory_is_bounded(self, tmp_path, rng):
+        # the whole text and every row's text took ~11x
+        frames = rng.uniform(0, 1, (20000, 12))
+        seq = ChromaSequence(frames, frame_rate=21.5)
+        path = tmp_path / "long.json"
+        tracemalloc.start()
+        try:
+            save_chroma_json(seq, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(load_chroma_json(path).frames, frames)
+        assert peak < 6 * frames.nbytes
 
 
 class TestAggregation:

@@ -28,7 +28,7 @@ from tonalspace import (
     tiv_from_chroma,
     wholetoneness,
 )
-from tonalspace import cli
+from tonalspace import chroma, cli
 from tonalspace.cli import ANALYZE_COLUMNS, main
 
 from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma
@@ -244,6 +244,15 @@ class TestAnalyze:
         assert out.read_bytes() == b"an earlier report\n"
         assert "row 2" in capsys.readouterr().err
 
+    def test_overflowing_frame_times_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({"frame_rate": 1e-308, "frames": [[1.0] * 12] * 3}))
+        out = tmp_path / "report.json"
+        out.write_bytes(b"an earlier report\n")
+        assert main(["analyze", str(path), "--out-format", "json", "--out", str(out)]) == 1
+        assert out.read_bytes() == b"an earlier report\n"
+        assert "frame 2 overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rows", [1, 2, 7])
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("suffix", [".csv", ".json"])  # no frame rate, a frame rate
@@ -260,7 +269,7 @@ class TestAnalyze:
         argv = ["analyze", str(path), "--out-format", out_format]
         assert main(argv) == 0
         want = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_REPORT_ROWS", rows)
+        monkeypatch.setattr(chroma, "_BLOCK_ROWS", rows)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
 
@@ -471,6 +480,16 @@ class TestKey:
         write_chroma_csv(path, [np.ones(12)])
         assert main(["key", str(path)]) == 1
         assert "zero-norm" in capsys.readouterr().err
+
+    def test_mean_rounded_to_uniform_has_no_key(self, tmp_path, capsys):
+        # the frames differ, but their mean rounds to a uniform chroma
+        path = tmp_path / "subnormal.csv"
+        write_chroma_csv(path, [[5e-324] * 12, [0.0] + [5e-324] * 11])
+        assert main(["key", str(path)]) == 1
+        assert "zero-norm" in capsys.readouterr().err
+        code, report = run_json(capsys, ["analyze", str(path), "--out-format", "json"])
+        assert code == 0
+        assert report["global"]["key"] is None
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_non_utf8_input_exit_1(self, tmp_path, capsys, suffix):
