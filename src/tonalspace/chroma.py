@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_BINS, _as_bins, _as_int, _as_real, _frozen
+from .core import N_BINS, _as_bins, _as_int, _as_real, _frozen, _row_blocks
 from .errors import ChromaError, DegenerateInputError
 
 # Built-in extractor defaults; override via function arguments / CLI flags.
@@ -30,12 +30,6 @@ DEFAULT_HOP_SIZE = 1024
 DEFAULT_FMIN = 55.0
 DEFAULT_FMAX = 5000.0
 DEFAULT_A4 = 440.0
-
-# Bytes read at a time by the plain CSV parser.
-_PIECE_BYTES = 1 << 16
-
-# Rows rendered at a time by every text writer.
-_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,54 +91,36 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _text_pieces(fh, max_line: int):
-    """The text of binary UTF-8 ``fh`` in pieces of whole lines, without a
-    leading BOM.  The file is read ``_PIECE_BYTES`` at a time and each piece
-    is cut after its last ``\\n``, which splits no UTF-8 character and no
-    ``\\r\\n``.  Raises UnicodeDecodeError, or ValueError for a line of over
-    ``max_line`` bytes."""
-    rest, encoding = b"", "utf-8-sig"
-    while piece := fh.read(_PIECE_BYTES):
-        data = rest + piece
-        cut = data.rfind(b"\n") + 1
-        data, rest = data[:cut], data[cut:]
-        if len(rest) > max_line:
+def _lines_within(fh, limit: int):
+    """The lines of ``fh`` that are not blank; ValueError at one of over ``limit``
+    characters, a length the csv module refuses as a field."""
+    for line in fh:
+        if len(line) > limit:
             raise ValueError("line too long")
-        if data:
-            yield data.decode(encoding)
-            encoding = "utf-8"
-    yield rest.decode(encoding)
+        if not line.isspace():
+            yield line
 
 
 def _plain_csv_frames(fh):
-    """Unchecked (N, 12) floats of a binary CSV file that needs none of the csv
-    module's rules, else None (quotes, lone CRs, overlong fields, ragged or
-    text rows, bytes that are not UTF-8).  The file is read in pieces, and
-    each piece's values are appended to one growing buffer."""
-    limit = csv.field_size_limit()
-    values = bytearray()  # the float64 values, appended piece by piece
-    header_checked = False
+    """The unchecked (N, k) floats of CSV text ``fh`` (opened with
+    ``newline=""``) when numpy's reader takes it, else None: anything that
+    needs the csv module's rules (quotes, overlong fields), ragged or text
+    rows, spellings ``float`` accepts and numpy does not (``1_0``), bytes
+    that are not UTF-8, or no data row."""
+    lines = _lines_within(fh, csv.field_size_limit())
     try:
-        # a line of over 4 * limit + 8 bytes has over ``limit`` characters
-        for text in _text_pieces(fh, 4 * limit + 8):
-            if "\r" in text:  # a scan for one character is far cheaper than replace
-                text = text.replace("\r\n", "\n")
-            lines = list(filter(None, text.split("\n")))
-            if '"' in text or "\r" in text or max(map(len, lines), default=0) > limit:
-                return None
-            if lines and not header_checked:
-                header_checked = True
-                if not _is_number(lines[0].split(",", 1)[0]):
-                    del lines[0]  # header row
-            if not lines:
-                continue
-            if {line.count(",") for line in lines} != {N_BINS - 1}:
-                return None
-            cells = ",".join(lines).split(",")
-            values += np.fromiter(map(float, cells), float, len(cells)).tobytes()
-    except (UnicodeDecodeError, ValueError):
+        first = next(lines, "")
+        if '"' in first:  # a quoted header may run on past its line
+            return None
+        if not _is_number(first.split(",", 1)[0]):
+            first = next(lines, "")  # the header row
+        if not first:  # loadtxt would warn of no data
+            return None
+        return np.loadtxt(
+            itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError:  # also UnicodeDecodeError
         return None
-    return np.frombuffer(values).reshape(-1, N_BINS) if values else None
 
 
 def load_chroma_csv(path) -> ChromaSequence:
@@ -154,22 +130,23 @@ def load_chroma_csv(path) -> ChromaSequence:
     Blank and whitespace-only rows are skipped; cells may be quoted and may
     carry surrounding whitespace; a leading BOM is ignored.  Malformed rows
     (wrong column count, negative, NaN, text) raise ChromaError naming it.
-    A plain file is read in fixed-size pieces; one that needs the csv
-    module's rules, or names a bad row, is read again as one text (a pipe
-    is read whole first, as it cannot be read twice).
+    A plain file is parsed line by line by ``np.loadtxt``; one that needs
+    the csv module's rules, or names a bad row, is read again as one text
+    by ``csv.reader`` (a pipe is read whole first, as it cannot be read
+    twice).
     """
     try:
         with open(path, "rb") as raw:
             # a pipe cannot be read twice, and the row loop may need a second read
             fh = raw if raw.seekable() else io.BytesIO(raw.read())
-            frames = _plain_csv_frames(fh)
-            if frames is not None:
-                try:
-                    return ChromaSequence(frames, source=str(path))
-                except ChromaError:
-                    frames = None  # freed: the row loop below names the bad row
-            fh.seek(0)
             with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text_fh:
+                frames = _plain_csv_frames(text_fh)
+                if frames is not None:
+                    try:
+                        return ChromaSequence(frames, source=str(path))
+                    except ChromaError:
+                        frames = None  # freed: the row loop below names the bad row
+                text_fh.seek(0)
                 text = text_fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma CSV {path}: {exc}") from exc
@@ -185,11 +162,6 @@ def load_chroma_csv(path) -> ChromaSequence:
     except csv.Error as exc:
         raise ChromaError(f"{path}: malformed CSV: {exc}") from exc
     return ChromaSequence(_parse_rows(rows, path), source=str(path))
-
-
-def _row_blocks(n: int):
-    """Slices of ``_BLOCK_ROWS`` rows that cover ``range(n)``."""
-    return (slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS))
 
 
 def _cells(column, rows):
@@ -276,7 +248,11 @@ def load_chroma_json(path) -> ChromaSequence:
             raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
         # None makes _parse_rows call the row non-numeric
         rows.append((i, [None if isinstance(c, (bool, str)) else c for c in row]))
-    return ChromaSequence(_parse_rows(rows, path), frame_rate=frame_rate, source=str(path))
+    frames = _parse_rows(rows, path)
+    try:
+        return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
+    except ChromaError as exc:  # every row passed: the frame rate is refused
+        raise ChromaError(f"{path}: {exc}") from None
 
 
 _ROW_JSON = "[" + ",".join(["\n      %s"] * N_BINS) + "\n    ]"

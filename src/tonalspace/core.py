@@ -44,8 +44,9 @@ DEFAULT_WEIGHTS.flags.writeable = False
 # Coefficient magnitudes below this carry no usable phase information.
 PHASE_EPS = 1e-10
 
-# Chroma rows per FFT call in tiv_from_chroma: ~400 kB of frames.
-_FFT_ROWS = 4096
+# Rows per block of every blocked loop: the FFT in tiv_from_chroma (~400 kB
+# of frames) and every text writer.
+_BLOCK_ROWS = 4096
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -126,6 +127,11 @@ def as_weights(weights) -> np.ndarray:
     return arr
 
 
+def _row_blocks(n: int):
+    """Slices of ``_BLOCK_ROWS`` rows that cover ``range(n)``."""
+    return (slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS))
+
+
 def _require_single(what: str, *tivs) -> None:
     if any(t.coeffs.ndim != 1 for t in tivs):
         raise ChromaError(f"{what} takes one interval vector, not a batch")
@@ -193,15 +199,13 @@ class Tiv:
     def from_dict(cls, data: dict, weights=DEFAULT_WEIGHTS) -> "Tiv":
         """Inverse of ``to_dict``; booleans and strings raise ChromaError."""
         try:
-            pairs, energy = data["coeffs"], data["energy"]
-            shape = _as_floats(pairs, "coeffs").shape
+            pairs, energy = _as_floats(data["coeffs"], "coeffs"), data["energy"]
         except (KeyError, TypeError) as exc:
             raise ChromaError(f"malformed interval vector dict: {exc!r}") from None
-        if shape != (N_COEFFS, 2):
-            raise ChromaError(f"malformed interval vector dict: coeffs of shape {shape}")
-        coeffs = [
-            complex(_as_real(re, "coeffs"), _as_real(im, "coeffs")) for re, im in pairs
-        ]
+        if pairs.shape != (N_COEFFS, 2):
+            raise ChromaError(f"malformed interval vector dict: coeffs of shape {pairs.shape}")
+        # each [re, im] row as one complex, with the bits of both parts (also -0.0)
+        coeffs = np.ascontiguousarray(pairs).view(complex)[:, 0]
         return cls(coeffs=coeffs, energy=energy, weights=weights)
 
 
@@ -226,7 +230,7 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
 
     Each chroma row is L1-normalised, its DFT coefficients k = 1..6 are
     taken and scaled by ``weights``.  The rows go through the FFT in blocks
-    of ``_FFT_ROWS`` into one (N, 6) array, so working memory beyond the
+    of ``_BLOCK_ROWS`` into one (N, 6) array, so working memory beyond the
     result is one block; each row is transformed on its own, so blocks do
     not change the bits.  An all-zero row yields the zero vector with
     energy 0 (silence convention) so framewise pipelines stay total over
@@ -240,8 +244,7 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
     silent = energy == 0.0
     scale = np.where(silent, 1.0, energy)[:, None]
     coeffs = np.empty((len(frames), N_COEFFS), complex)
-    for i in range(0, len(frames), _FFT_ROWS):
-        rows = slice(i, i + _FFT_ROWS)
+    for rows in _row_blocks(len(frames)):
         spectrum = np.fft.fft(frames[rows] / scale[rows], axis=1)
         coeffs[rows] = spectrum[:, 1 : N_COEFFS + 1] * w
     coeffs[silent] = 0.0

@@ -66,7 +66,7 @@ def test_fft_blocks_change_no_bits(rng, monkeypatch, rows):
     frames = rng.uniform(0, 1, (50, 12))
     frames[[4, 20, 21]] = 0.0
     want = tiv_from_chroma(frames)
-    monkeypatch.setattr(core, "_FFT_ROWS", rows)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", rows)
     got = tiv_from_chroma(frames)
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.energy, want.energy)
@@ -74,7 +74,7 @@ def test_fft_blocks_change_no_bits(rng, monkeypatch, rows):
 
 def test_blocked_fft_equals_one_shot(rng):
     """Three blocks against the one FFT call over every row that they replaced."""
-    frames = rng.uniform(0, 1, (2 * core._FFT_ROWS + 5, 12))
+    frames = rng.uniform(0, 1, (2 * core._BLOCK_ROWS + 5, 12))
     frames[::97] = 0.0
     energy = frames.sum(axis=1)
     silent = energy == 0.0

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from tonalspace import (
     save_chroma_json,
     window_average,
 )
-from tonalspace import chroma
+from tonalspace import chroma, core
 from tonalspace.chroma import chroma_csv_text, chroma_json_text
 
 
@@ -126,8 +127,20 @@ def assert_same_outcome(got, want):
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
 
+def text_pieces(size):
+    """Make every text reader that ``load_chroma_csv`` opens decode ``size``
+    bytes at a time, which cuts UTF-8 characters, CRLFs and the BOM apart."""
+
+    class Reader(io.TextIOWrapper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._CHUNK_SIZE = size
+
+    return mock.patch.object(chroma.io, "TextIOWrapper", Reader)
+
+
 ROW = ",".join(["0.5", "1", "2.25", "1e-3"] * 3)
-# files a small piece size cuts in many places; the first five need no csv module
+# files small pieces cut in many places; the first five need no csv module
 PIECE_FILES = {
     "crlf": ("\r\n".join([ROW] * 9) + "\r\n").encode(),
     "bom": b"\xef\xbb\xbf" + ("\n".join([ROW] * 9) + "\n").encode(),
@@ -200,7 +213,7 @@ def test_json_text_matches_indent_dump(frames, frame_rate):
 def test_text_blocks_change_nothing(monkeypatch, rng, rows, render, frame_rate):
     seq = ChromaSequence(rng.uniform(0, 1, (23, 12)), frame_rate=frame_rate)
     want = "".join(render(seq))
-    monkeypatch.setattr(chroma, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", rows)
     assert "".join(render(seq)) == want
 
 
@@ -342,21 +355,25 @@ class TestCsv:
 
     @pytest.mark.parametrize("size", [1, 7, 64])
     @pytest.mark.parametrize("name", list(PIECE_FILES))
-    def test_piece_size_changes_nothing(self, tmp_path, monkeypatch, name, size):
+    def test_piece_size_changes_nothing(self, tmp_path, name, size):
+        """Each file loads as the csv.reader path (the reference) loads it,
+        whatever the size of the pieces the text reader decodes."""
         path = tmp_path / "c.csv"
         path.write_bytes(PIECE_FILES[name])
-        want = frames_or_message(path)
-        monkeypatch.setattr(chroma, "_PIECE_BYTES", size)
-        assert_same_outcome(frames_or_message(path), want)
+        with text_pieces(size):
+            got = frames_or_message(path)
+        with mock.patch.object(chroma, "_plain_csv_frames", return_value=None):
+            assert_same_outcome(got, frames_or_message(path))
 
     @pytest.mark.parametrize("size", [1, 7, 64])
     @pytest.mark.parametrize("name", PLAIN_FILES)
-    def test_small_pieces_stay_on_the_plain_path(self, tmp_path, monkeypatch, name, size):
+    def test_small_pieces_stay_on_the_plain_path(self, tmp_path, name, size):
         path = tmp_path / "c.csv"
         path.write_bytes(PIECE_FILES[name])
         want = load_chroma_csv(path).frames
-        monkeypatch.setattr(chroma, "_PIECE_BYTES", size)
-        with open(path, "rb") as fh:
+        with open(path, "rb") as raw:
+            fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+            fh._CHUNK_SIZE = size
             got = chroma._plain_csv_frames(fh)
         assert got is not None and np.array_equal(got, want)
 
@@ -367,33 +384,50 @@ class TestCsv:
             ("late-ragged", "row 9: expected 12 columns, got 13"),
         ],
     )
-    def test_a_late_bad_row_is_named(self, tmp_path, monkeypatch, name, message):
+    def test_a_late_bad_row_is_named(self, tmp_path, name, message):
         path = tmp_path / "c.csv"
         path.write_bytes(PIECE_FILES[name])
-        monkeypatch.setattr(chroma, "_PIECE_BYTES", 7)
         assert frames_or_message(path) == f"{path}: {message}"
 
-    def test_non_utf8_message_is_the_text_readers(self, tmp_path, monkeypatch):
+    def test_non_utf8_message_is_the_text_readers(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_bytes(PIECE_FILES["not-utf8"])
         with pytest.raises(UnicodeDecodeError) as exc:
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 fh.read()
-        monkeypatch.setattr(chroma, "_PIECE_BYTES", 7)
-        assert frames_or_message(path) == f"cannot read chroma CSV {path}: {exc.value}"
+        # the plain path meets the bad byte in a later piece than the whole read
+        with text_pieces(7):
+            assert frames_or_message(path) == f"cannot read chroma CSV {path}: {exc.value}"
 
-    def test_a_long_line_stops_the_piece_reader(self, monkeypatch):
-        monkeypatch.setattr(chroma, "_PIECE_BYTES", 7)
-        pieces = chroma._text_pieces(io.BytesIO(b"1\n" + b"0" * 100), 50)
-        assert next(pieces) == "1\n"
-        with pytest.raises(ValueError):
-            next(pieces)
+    def test_a_long_line_leaves_the_plain_path(self):
+        line = ",".join(["1"] * 11 + ["0" * csv.field_size_limit() + "1"])
+        assert chroma._plain_csv_frames(io.StringIO(ROW + "\n" + line + "\n")) is None
+
+    def test_a_header_and_blank_lines_hold_no_frames(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"C,C#,D,D#,E,F,F#,G,G#,A,A#,B\r\n\r\n\n  \r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChromaError, match="no chroma frames"):
+                load_chroma_csv(path)
+
+    def test_a_hash_is_no_comment(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("1," * 11 + "1#2\n# a note\n")
+        assert frames_or_message(path) == f"{path}: row 1: non-numeric chroma value"
+
+    def test_spellings_numpy_refuses_load_as_float_reads_them(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(",".join(["1_0", "\uff11"] * 6) + "\n", encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert chroma._plain_csv_frames(fh) is None
+        assert np.array_equal(load_chroma_csv(path).frames, [[10.0, 1.0] * 6])
 
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts(), size=st.integers(1, 80))
     def test_any_piece_size_matches_csv_reader(self, scratch_file, text, size):
         scratch_file.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(chroma, "_PIECE_BYTES", size):
+        with text_pieces(size):
             got = frames_or_message(scratch_file)
         with mock.patch.object(chroma, "_plain_csv_frames", return_value=None):
             want = frames_or_message(scratch_file)

@@ -28,7 +28,7 @@ from tonalspace import (
     tiv_from_chroma,
     wholetoneness,
 )
-from tonalspace import chroma, cli
+from tonalspace import cli, core
 from tonalspace.cli import ANALYZE_COLUMNS, main
 
 from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma
@@ -253,6 +253,14 @@ class TestAnalyze:
         assert out.read_bytes() == b"an earlier report\n"
         assert "frame 2 overflows" in capsys.readouterr().err
 
+    def test_overflowing_frame_times_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({"frame_rate": 1e-308, "frames": [[1.0] * 12] * 3}))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"tonalspace: error: {path}: frame_rate 1e-308: the time of frame 2 overflows\n"
+        )
+
     @pytest.mark.parametrize("rows", [1, 2, 7])
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("suffix", [".csv", ".json"])  # no frame rate, a frame rate
@@ -269,7 +277,7 @@ class TestAnalyze:
         argv = ["analyze", str(path), "--out-format", out_format]
         assert main(argv) == 0
         want = capsys.readouterr().out
-        monkeypatch.setattr(chroma, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(core, "_BLOCK_ROWS", rows)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
 

@@ -222,6 +222,15 @@ class TestTivSerialization:
         assert np.array_equal(back.coeffs, t.coeffs)
         assert back.energy == t.energy
 
+    def test_round_trip_keeps_negative_zero(self):
+        parts = [(-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (2.5, -1.5), (0.0, -0.0)]
+        t = Tiv([complex(re, im) for re, im in parts], 1.0, DEFAULT_WEIGHTS)
+        back = Tiv.from_dict(t.to_dict())
+        assert np.array_equal(back.coeffs, t.coeffs)
+        assert np.array_equal(np.signbit(back.coeffs.real), np.signbit(t.coeffs.real))
+        assert np.array_equal(np.signbit(back.coeffs.imag), np.signbit(t.coeffs.imag))
+        assert np.signbit(t.coeffs.real).any() and np.signbit(t.coeffs.imag).any()
+
     @pytest.mark.parametrize("missing", ["coeffs", "energy"])
     def test_missing_field_is_chroma_error(self, missing):
         data = tiv_from_chroma(binary_chroma([0])).to_dict()
