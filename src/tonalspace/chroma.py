@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,28 +60,29 @@ class ChromaSequence:
 
 
 def _parse_rows(rows, path) -> np.ndarray:
-    """(line_number, cells) pairs as an (N, 12) array; raises ChromaError
-    naming the first bad row."""
-    frames = []
+    """(line_number, cells) pairs, taken one at a time, as an (N, 12) array
+    packed into one float buffer; raises ChromaError naming the first bad
+    row in file order."""
+    values = array("d")
     for line_num, cells in rows:
         if len(cells) != N_BINS:
             raise ChromaError(
                 f"{path}: row {line_num}: expected {N_BINS} columns, got {len(cells)}"
             )
         try:
-            values = [float(cell) for cell in cells]
+            row = [float(cell) for cell in cells]
         except (TypeError, ValueError):
             raise ChromaError(f"{path}: row {line_num}: non-numeric chroma value") from None
         except OverflowError:  # an integer beyond the float range
-            values = [np.inf]
-        if not all(map(math.isfinite, values)):
+            row = [np.inf]
+        if not all(map(math.isfinite, row)):
             raise ChromaError(f"{path}: row {line_num}: non-finite chroma value")
-        if min(values) < 0:
+        if min(row) < 0:
             raise ChromaError(f"{path}: row {line_num}: negative chroma value")
-        frames.append(values)
-    if not frames:
+        values.extend(row)
+    if not values:
         raise ChromaError(f"{path}: no chroma frames found")
-    return np.array(frames)
+    return np.frombuffer(values).reshape(-1, N_BINS)
 
 
 def _is_number(text: str) -> bool:
@@ -129,11 +131,11 @@ def load_chroma_csv(path) -> ChromaSequence:
     An optional first header row is detected by a non-numeric first cell.
     Blank and whitespace-only rows are skipped; cells may be quoted and may
     carry surrounding whitespace; a leading BOM is ignored.  Malformed rows
-    (wrong column count, negative, NaN, text) raise ChromaError naming it.
-    A plain file is parsed line by line by ``np.loadtxt``; one that needs
-    the csv module's rules, or names a bad row, is read again as one text
-    by ``csv.reader`` (a pipe is read whole first, as it cannot be read
-    twice).
+    (wrong column count, negative, NaN, text) raise ChromaError naming the
+    first fault in file order.  A plain file is parsed line by line by
+    ``np.loadtxt``; one that needs the csv module's rules, or holds a bad
+    row, is streamed again through ``csv.reader`` (a pipe is read whole
+    first, as it cannot be read twice).
     """
     try:
         with open(path, "rb") as raw:
@@ -147,38 +149,29 @@ def load_chroma_csv(path) -> ChromaSequence:
                     except ChromaError:
                         frames = None  # freed: the row loop below names the bad row
                 text_fh.seek(0)
-                text = text_fh.read()
+                text_fh.read()  # decoded whole once, so a bad byte is named by its offset
+                text_fh.seek(0)
+                reader = csv.reader(text_fh)
+                rows = ((reader.line_num, cells) for cells in reader if any(map(str.strip, cells)))
+                rows = itertools.dropwhile(lambda row: not _is_number(row[1][0]), rows)
+                try:
+                    frames = _parse_rows(
+                        ((line, [cell.strip() for cell in cells]) for line, cells in rows), path
+                    )
+                except csv.Error as exc:
+                    raise ChromaError(f"{path}: malformed CSV: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma CSV {path}: {exc}") from exc
-    rows = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        for cells in reader:
-            if not cells or all(not cell.strip() for cell in cells):
-                continue
-            if not rows and not _is_number(cells[0]):
-                continue  # header row
-            rows.append((reader.line_num, [cell.strip() for cell in cells]))
-    except csv.Error as exc:
-        raise ChromaError(f"{path}: malformed CSV: {exc}") from exc
-    return ChromaSequence(_parse_rows(rows, path), source=str(path))
+    return ChromaSequence(frames, source=str(path))
 
 
-def _cells(column, rows):
-    """The cells ``column[rows]`` as text.  A column is an array, or one text
-    that stands for each of its cells.  ``repr`` is the one encoder: every
-    cell is an int or a finite float (frame times are finite, see
-    ``ChromaSequence``), whose ``repr`` is also its JSON form."""
-    if isinstance(column, str):
-        return itertools.repeat(column)
-    return map(repr, column[rows].tolist())
-
-
-def _csv_lines(n: int, columns):
-    """The ``n`` rows of ``columns`` as CSV lines, one piece per block of rows."""
+def _rows(template: str, n: int, columns):
+    """The ``n`` rows of ``columns`` as ``template % row`` texts, one iterator
+    per block of rows.  ``%s`` of an int or a finite float is its ``repr``
+    (frame times are finite, see ``ChromaSequence``), which is also its JSON
+    form; an object column holds text that is written as it is."""
     for rows in _row_blocks(n):
-        cells = zip(*(_cells(column, rows) for column in columns))
-        yield "\n".join(map(",".join, cells)) + "\n"
+        yield map(template.__mod__, zip(*(column[rows].tolist() for column in columns)))
 
 
 def _json_list(blocks, indent: int):
@@ -204,9 +197,12 @@ def _write_text(pieces, path) -> None:
         fh.writelines(pieces)
 
 
+_ROW_CSV = ",".join(["%s"] * N_BINS) + "\n"
+
+
 def chroma_csv_text(seq: ChromaSequence):
     """Chroma frames as headerless CSV text, full ``repr`` precision, in pieces."""
-    return _csv_lines(len(seq), list(seq.frames.T))
+    return map("".join, _rows(_ROW_CSV, len(seq), list(seq.frames.T)))
 
 
 def save_chroma_csv(seq: ChromaSequence, path) -> None:
@@ -242,13 +238,15 @@ def load_chroma_json(path) -> ChromaSequence:
         return ChromaSequence(raw, frame_rate=frame_rate, source=str(path))
     except ChromaError:
         pass  # the row loop names the bad row
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
-        # None makes _parse_rows call the row non-numeric
-        rows.append((i, [None if isinstance(c, (bool, str)) else c for c in row]))
-    frames = _parse_rows(rows, path)
+
+    def rows():
+        for i, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise ChromaError(f"{path}: row {i}: expected a list of {N_BINS} numbers")
+            # None makes _parse_rows call the row non-numeric
+            yield i, [None if isinstance(c, (bool, str)) else c for c in row]
+
+    frames = _parse_rows(rows(), path)
     try:
         return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
     except ChromaError as exc:  # every row passed: the frame rate is refused
@@ -263,9 +261,7 @@ def chroma_json_text(seq: ChromaSequence):
     ``json.dumps(..., indent=2)``, in pieces."""
     head = "" if seq.frame_rate is None else f'  "frame_rate": {seq.frame_rate!r},\n'
     yield "{\n" + head + '  "frames": '
-    columns = list(seq.frames.T)
-    blocks = (zip(*(_cells(column, rows) for column in columns)) for rows in _row_blocks(len(seq)))
-    yield from _json_list((map(_ROW_JSON.__mod__, cells) for cells in blocks), 2)
+    yield from _json_list(_rows(_ROW_JSON, len(seq), list(seq.frames.T)), 2)
     yield "\n}\n"
 
 
@@ -400,8 +396,6 @@ def extract_chroma_wav(
     for i in range(0, len(segments), block):
         spectrum = np.fft.rfft(segments[i : i + block] * window, axis=1)
         power[i : i + block] = np.abs(spectrum[:, lo:hi]) ** 2
-    frames = power @ fold
-    frames[frames < 0] = 0.0  # guard against negative rounding dust
     return ChromaSequence(
-        frames, frame_rate=sample_rate / hop_size, source=str(path)
+        power @ fold, frame_rate=sample_rate / hop_size, source=str(path)
     )

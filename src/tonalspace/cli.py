@@ -35,10 +35,8 @@ from .chroma import (
     DEFAULT_HOP_SIZE,
     DEFAULT_WINDOW_SIZE,
     ChromaSequence,
-    _cells,
-    _csv_lines,
     _json_list,
-    _row_blocks,
+    _rows,
     _write_text,
     chroma_csv_text,
     chroma_json_text,
@@ -146,6 +144,7 @@ def _parse_alpha(value):
 
 
 _FRAME_JSON = "{" + ",".join(f'\n      "{c}": %s' for c in ANALYZE_COLUMNS) + "\n    }"
+_FRAME_CSV = ",".join(["%s"] * len(ANALYZE_COLUMNS)) + "\n"
 
 
 def _json_report(head: dict, peaks: list, n: int, columns):
@@ -154,13 +153,11 @@ def _json_report(head: dict, peaks: list, n: int, columns):
     ANALYZE_COLUMNS columns; only the small head goes through the slow
     pure-Python indenting encoder."""
     # lambda is written twice, so its text is kept rather than encoded twice
-    lam = [list(_cells(columns[-1], rows)) for rows in _row_blocks(n)]
-    blocks = ([_cells(column, rows) for column in columns[:-1]] for rows in _row_blocks(n))
-    frames = (map(_FRAME_JSON.__mod__, zip(*cells, text)) for cells, text in zip(blocks, lam))
+    lam = np.array(list(map(repr, columns[-1].tolist())), dtype=object)
     yield json.dumps(head, indent=2)[:-2] + ',\n  "hchange": {\n    "lambda": '
-    yield from _json_list(lam, 4)
+    yield from _json_list(_rows("%s", n, [lam]), 4)
     yield f',\n    "peaks": {"".join(_json_list([map(repr, peaks)], 4))}\n  }},\n  "frames": '
-    yield from _json_list(frames, 2)
+    yield from _json_list(_rows(_FRAME_JSON, n, [*columns[:-1], lam]), 2)
     yield "\n}\n"
 
 
@@ -200,7 +197,8 @@ def cmd_analyze(args) -> int:
 
     rate = seq.frame_rate
     no_time = "null" if args.out_format == "json" else ""  # each time at an unknown rate
-    columns = [np.arange(n), no_time if rate is None else np.arange(n) / rate, *columns]
+    times = np.full(n, no_time, dtype=object) if rate is None else np.arange(n) / rate
+    columns = [np.arange(n), times, *columns]
     metadata = {
         "command": "analyze",
         "input": args.input,
@@ -229,7 +227,8 @@ def cmd_analyze(args) -> int:
     head.append(f"# key: {json.dumps(key_json)}")
     head.append(f"# hchange-peaks: {json.dumps(peaks)}")
     head.append(",".join(ANALYZE_COLUMNS))
-    _write_text(itertools.chain(["\n".join(head) + "\n"], _csv_lines(n, columns)), args.out)
+    rows = map("".join, _rows(_FRAME_CSV, n, columns))
+    _write_text(itertools.chain(["\n".join(head) + "\n"], rows), args.out)
     return 0
 
 

@@ -191,7 +191,7 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     if np.linalg.norm(t.coeffs) == 0.0:
         raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
     _require_same_weights(t, profiles.profile_tivs)
-    queries = np.array([t.coeffs] * 12 + [t.coeffs * profiles.alpha] * 12)
+    queries = t.coeffs * np.repeat([1.0, profiles.alpha], 12)[:, None]
     distances = np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs))
     index = int(np.argmin(distances))
     return KeyResult(

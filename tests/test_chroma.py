@@ -342,7 +342,7 @@ class TestCsv:
     @example(text="1," * 11 + "-1\n")
     @example(text="1," * 11 + "1e400\n")
     def test_plain_path_matches_csv_reader(self, scratch_file, text):
-        """The str.split path returns what the csv.reader path returns (the
+        """The np.loadtxt path returns what the csv.reader path returns (the
         reference, reached by disabling the plain path), or fails the same way."""
         scratch_file.write_bytes(text.encode("utf-8"))
         got = frames_or_message(scratch_file)
@@ -423,6 +423,13 @@ class TestCsv:
             assert chroma._plain_csv_frames(fh) is None
         assert np.array_equal(load_chroma_csv(path).frames, [[10.0, 1.0] * 6])
 
+    def test_cells_are_stripped_as_str_strip_strips(self, tmp_path):
+        # float() refuses U+001C..U+001F around a number; str.strip takes them
+        # off (the quote sends the file to the csv.reader path)
+        path = tmp_path / "c.csv"
+        path.write_text('"1",' * 11 + "1\n" + ",".join(["\x1c2\x1f"] * 12) + "\n")
+        assert np.array_equal(load_chroma_csv(path).frames, [[1.0] * 12, [2.0] * 12])
+
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts(), size=st.integers(1, 80))
     def test_any_piece_size_matches_csv_reader(self, scratch_file, text, size):
@@ -462,6 +469,37 @@ class TestCsv:
             tracemalloc.stop()
         assert np.array_equal(seq.frames, frames)
         assert peak < 3 * frames.nbytes
+
+    @pytest.mark.parametrize("fault", ["quoted-first-cell", "bad-last-line"])
+    def test_csv_reader_memory_is_bounded(self, tmp_path, rng, fault):
+        # the whole text, its copy, every cell as a str and a float took ~29x
+        frames = rng.uniform(0, 1, (20000, 12))
+        text = "".join(chroma_csv_text(ChromaSequence(frames)))
+        if fault == "quoted-first-cell":
+            first, rest = text.split(",", 1)
+            text = f'"{first}",{rest}'
+        else:
+            text += "1,2\n"
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            got = frames_or_message(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if fault == "quoted-first-cell":
+            assert np.array_equal(got, frames)
+        else:
+            assert got == f"{path}: row 20001: expected 12 columns, got 2"
+        assert peak < 6 * frames.nbytes
+
+    def test_the_first_fault_in_the_file_is_named(self, tmp_path):
+        # a bad row before a field the csv module refuses: the bad row is named
+        path = tmp_path / "c.csv"
+        long_field = "0" * csv.field_size_limit() + "1"
+        path.write_text(f"{ROW}\n-{ROW}\n{ROW},{long_field}\n", encoding="utf-8")
+        assert frames_or_message(path) == f"{path}: row 2: negative chroma value"
 
 
 class TestJson:
@@ -560,6 +598,14 @@ class TestJson:
         path.write_text(json.dumps({"frames": [[1.0] * 12, [1.0] * 11]}))
         with pytest.raises(ChromaError, match="row 1"):
             load_chroma_json(path)
+
+    def test_the_first_fault_in_the_file_is_named(self, tmp_path):
+        # a bad value before a row that is not a list: the bad value is named
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"frames": [[1.0] * 12, [-1.0] + [1.0] * 11, "x"]}))
+        with pytest.raises(ChromaError) as exc:
+            load_chroma_json(path)
+        assert str(exc.value) == f"{path}: row 1: negative chroma value"
 
     def test_round_trip(self, tmp_path, rng):
         frames = rng.uniform(0, 2, (4, 12))
