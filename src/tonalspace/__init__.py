@@ -2,7 +2,7 @@
 
 12-bin chroma vectors are mapped to six complex interval coefficients (a
 weighted DFT of the L1-normalized chroma) on which the library computes
-harmonic qualities (chromaticity, diatonicity, whole-toneness), intervallic
+six harmonic qualities (chromaticity to whole-toneness), intervallic
 dissonance, energy-weighted mixing, Euclidean/cosine distances, framewise
 harmonic-change detection, and 24-key estimation.  ``tonalspace.cli``
 provides a batch command-line front end over chroma CSV/JSON files and a
@@ -44,6 +44,7 @@ from .descriptors import (
     dissonance,
     euclid,
     harmonic_change,
+    qualities,
     wholetoneness,
 )
 from .errors import (

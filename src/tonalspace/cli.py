@@ -49,14 +49,12 @@ from .chroma import (
 from .core import DEFAULT_WEIGHTS, _as_real, as_weights, combine, tiv_from_chroma
 from .descriptors import (
     HARTE_COEFFS,
-    chromaticity,
     cosine_distance,
     cosine_similarity,
-    diatonicity,
     dissonance,
     euclid,
     harmonic_change,
-    wholetoneness,
+    qualities,
 )
 from .errors import ChromaError, DegenerateInputError, TonalSpaceError, UnknownProfileError
 from .key import build_profile_set, estimate_key
@@ -175,8 +173,8 @@ def cmd_analyze(args) -> int:
     seq = window_average(seq, args.window_avg)
     n = len(seq)
     tivs = tiv_from_chroma(seq.frames, weights)
-    qualities = (chromaticity, diatonicity, wholetoneness, dissonance)
-    columns = [quality(tivs) for quality in qualities]
+    q = qualities(tivs)
+    columns = [q[:, 0], q[:, 4], q[:, 5], dissonance(tivs)]
 
     if n >= 3:
         subset = HARTE_COEFFS if args.hchange_coeffs == "harte" else None
@@ -189,7 +187,8 @@ def cmd_analyze(args) -> int:
     del tivs  # freed before the report, which needs only the columns
 
     g_tiv = tiv_from_chroma(global_chroma(seq), weights)
-    g_qualities = dict(zip(ANALYZE_COLUMNS[2:6], (q(g_tiv) for q in qualities)))
+    g_values = [*qualities(g_tiv)[[0, 4, 5]].tolist(), dissonance(g_tiv)]
+    g_qualities = dict(zip(ANALYZE_COLUMNS[2:6], g_values))
     try:
         key_json = estimate_key(g_tiv, profiles).to_dict()
     except DegenerateInputError:  # silence or uniform chroma: no key

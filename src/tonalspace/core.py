@@ -17,10 +17,11 @@ is a ``Tiv`` with ``coeffs`` of shape (6,) and a float ``energy``; a batch
 is a ``Tiv`` with (N, 6) ``coeffs`` and an (N,) ``energy`` array.  The
 one-vector ``Tiv`` is the N = 1 case: ``batch[i]`` is the vector of row i,
 bit-identical to transforming that row alone.  ``mag``, ``phases``,
-``transpose``, the four qualities and ``euclid`` act row-wise on a batch;
-``combine``'s operands, the items of a list given to ``harmonic_change``,
-the cosine, ``estimate_key`` and ``Tiv.to_dict`` take one vector and
-refuse a batch with ChromaError.
+``transpose``, the qualities, dissonance and ``euclid`` (two batches of one
+length, or a batch and a vector) act row-wise on a batch; ``combine``'s
+operands, the items of a list given to ``harmonic_change``, the cosine,
+``estimate_key`` and ``Tiv.to_dict`` take one vector and refuse a batch
+with ChromaError.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ class Tiv:
 
     def __getitem__(self, index) -> "Tiv":
         """Row ``index`` of a batch as one vector (a slice gives a batch)."""
+        if self.coeffs.ndim == 1:
+            raise TypeError("a single interval vector cannot be indexed")
         return Tiv(self.coeffs[index], self.energy[index], self.weights)
 
     @property

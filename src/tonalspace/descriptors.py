@@ -1,11 +1,11 @@
 """Harmonic descriptors and distances over interval vectors.
 
-The single-coefficient qualities (chromaticity, diatonicity,
-whole-toneness) normalise one coefficient magnitude to [0, 1]; dissonance
-collapses the full weighted magnitude into one indicator.  All four depend
-only on magnitudes, so they are invariant under transposition of the
-source chroma.  Each takes one vector or a batch (see ``core``) and
-returns a float or an (N,) array, bit-identical row by row.
+``qualities`` normalises each of the six coefficient magnitudes to
+[0, 1], and ``chromaticity``, ``diatonicity`` and ``wholetoneness`` name
+three of its columns; dissonance collapses the full weighted magnitude
+into one indicator.  All depend only on magnitudes, so they are invariant
+under transposition of the source chroma.  Each takes one vector or a
+batch (see ``core``) and is bit-identical row by row.
 ``harmonic_change`` turns a frame sequence into a novelty curve whose
 peaks mark transitions between harmonically stable regions.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_COEFFS, Tiv, _as_real, _frozen, _require_same_weights, _require_single
+from .core import N_COEFFS, Tiv, _as_int, _as_real, _frozen, _require_same_weights, _require_single
 from .errors import ChromaError, DegenerateInputError, InsufficientInputError
 
 # Coefficient subset matching Harte-style change detection: circles of
@@ -37,26 +37,34 @@ def _sqnorm(coeffs):
     return (re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
 
 
+def qualities(t: Tiv) -> np.ndarray:
+    """The six qualities |T(k)| / w(k) in k order, in [0, 1]: (6,) or (N, 6).
+    TIV.lib names them chromaticity, dyadicity, triadicity, diminished quality,
+    diatonicity and whole-toneness; Amiot (*Music Through Fourier Space*, 2016)
+    and Yust (JMT 2015) give their readings.  Silence reports 0."""
+    return np.abs(t.coeffs) / t.weights
+
+
 def chromaticity(t: Tiv):
     """Concentration on one region of the chromatic pitch circle, in [0, 1].
 
     Near 0 for evenly spread sonorities (tonal chords, scales), near 1
-    for compact semitone clusters.  Silence reports 0.  Like every quality
-    here: a float for one vector, an (N,) array for a batch.
+    for compact semitone clusters.  Silence reports 0.  Like every named
+    quality: a float for one vector, an (N,) array for a batch.
     """
-    return _per_vector(np.abs(t.coeffs[..., 0]) / t.weights[0])
+    return _per_vector(qualities(t)[..., 0])
 
 
 def diatonicity(t: Tiv):
     """Concentration on one region of the circle of fifths, in [0, 1].
     Silence reports 0."""
-    return _per_vector(np.abs(t.coeffs[..., 4]) / t.weights[4])
+    return _per_vector(qualities(t)[..., 4])
 
 
 def wholetoneness(t: Tiv):
     """Proximity to one of the two whole-tone collections, in [0, 1].
     Silence reports 0."""
-    return _per_vector(np.abs(t.coeffs[..., 5]) / t.weights[5])
+    return _per_vector(qualities(t)[..., 5])
 
 
 def dissonance(t: Tiv):
@@ -72,12 +80,14 @@ def dissonance(t: Tiv):
 
 def euclid(t1: Tiv, t2: Tiv):
     """Euclidean distance between two interval vectors (row-wise for
-    batches, which broadcast against one vector).
+    batches of one length, which broadcast against one vector).
 
     Tracks voice-leading proximity: parsimonious moves between pitch
     profiles land close together.
     """
     _require_same_weights(t1, t2)
+    if t1.coeffs.ndim == t2.coeffs.ndim == 2 and len(t1) != len(t2):
+        raise ChromaError(f"euclid needs batches of one length, got {len(t1)} and {len(t2)}")
     return _per_vector(np.sqrt(_sqnorm(t1.coeffs - t2.coeffs)))
 
 
@@ -152,8 +162,11 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
     if n < 3:
         raise InsufficientInputError(f"harmonic change needs at least 3 frames, got {n}")
     if coeffs is not None:
-        ks = np.asarray(list(coeffs))
-        if ks.dtype.kind not in "iu" or not ks.size or ks.min() < 1 or ks.max() > N_COEFFS:
+        try:
+            ks = [_as_int(k, "coefficient", minimum=1) for k in coeffs]
+        except (ChromaError, TypeError):  # a bool, a non-integer or no iterable
+            ks = []
+        if not ks or max(ks) > N_COEFFS:
             raise ChromaError("coefficient subset must be integers drawn from 1..6")
         matrix = matrix[:, np.unique(ks) - 1]
 

@@ -12,7 +12,8 @@ a stray numpy error or warning:
   ``combine`` energy sums beyond the float range; NaN, infinite or
   non-positive weights; a batch given to a function of one vector
   (``estimate_key``, the cosine, ``combine``'s and ``harmonic_change``'s
-  list items, ``Tiv.to_dict``); and any argument that breaks the next rules.
+  list items, ``Tiv.to_dict``); two batches of different lengths given to
+  ``euclid``; and any argument that breaks the next rules.
 - Counts, indices and shifts (window and hop sizes, ``global_chroma``
   bounds, ``transpose``'s semitones) are integers.  Thresholds, rates,
   frequencies and alphas are finite reals.  Booleans and strings are

@@ -25,6 +25,7 @@ from tonalspace import (
     dissonance,
     estimate_key,
     harmonic_change,
+    qualities,
     tiv_from_chroma,
     wholetoneness,
 )
@@ -56,6 +57,7 @@ def test_batch_equals_single_frames_and_oracle(frames):
     assert np.array_equal(batch.is_silent, [t.is_silent for t in rows])
     for quality in QUALITIES:
         assert np.array_equal(quality(batch), [quality(t) for t in rows])
+    assert np.array_equal(qualities(batch), [qualities(t) for t in rows])
     for i, row in enumerate(frames):
         assert np.array_equal(batch[i].coeffs, rows[i].coeffs)
         assert np.allclose(rows[i].coeffs, oracle_coeffs(row), rtol=0.0, atol=1e-12)
@@ -130,6 +132,15 @@ def test_key_distances_match_per_reference_norm(rng):
                 for r in range(24)
             ]
             assert np.array_equal(estimate_key(t, profiles).distances, want)
+
+
+def test_a_single_vector_has_no_length_and_no_index():
+    one = tiv_from_chroma(np.ones(12))
+    with pytest.raises(TypeError, match="a single interval vector has no length"):
+        len(one)
+    for index in (0, slice(None), -1):
+        with pytest.raises(TypeError, match="a single interval vector cannot be indexed"):
+            one[index]
 
 
 ONE_VECTOR_CALLS = {

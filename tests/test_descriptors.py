@@ -18,6 +18,7 @@ from tonalspace import (
     dissonance,
     euclid,
     harmonic_change,
+    qualities,
     tiv_from_chroma,
     transpose,
     wholetoneness,
@@ -47,16 +48,18 @@ EUCLID_MAJOR_MINOR = 14.965052715589064
 EUCLID_MAJOR_STEPS = 21.615966321217286
 
 QUALITIES = (chromaticity, diatonicity, wholetoneness, dissonance)
+# the named qualities and the function of all six columns
+ALL_QUALITIES = (*QUALITIES[:3], qualities)
 
 
 class TestQualityValues:
-    @pytest.mark.parametrize("quality", QUALITIES[:3])
+    @pytest.mark.parametrize("quality", ALL_QUALITIES)
     def test_one_hot_is_one(self, quality):
         assert quality(tiv_from_chroma(binary_chroma([0]))) == pytest.approx(
             1.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("quality", QUALITIES[:3])
+    @pytest.mark.parametrize("quality", ALL_QUALITIES)
     def test_uniform_is_zero(self, quality):
         assert quality(tiv_from_chroma(np.ones(12))) == pytest.approx(0.0, abs=1e-12)
 
@@ -72,6 +75,7 @@ class TestQualityValues:
 
     def test_silence_convention(self):
         silent = tiv_from_chroma(np.zeros(12))
+        assert np.array_equal(qualities(silent), np.zeros(6))
         assert chromaticity(silent) == 0.0
         assert diatonicity(silent) == 0.0
         assert wholetoneness(silent) == 0.0
@@ -136,15 +140,37 @@ class TestQualityValues:
             t = tiv_from_chroma(random_chroma(rng))
             for quality in QUALITIES:
                 assert -1e-12 <= quality(t) <= 1.0 + 1e-12
+            q = qualities(t)
+            assert q.shape == (6,)
+            assert np.all((q >= -1e-12) & (q <= 1.0 + 1e-12))
 
     def test_qualities_transposition_invariant(self, rng):
+        functions = (*QUALITIES, qualities)
         for _ in range(20):
             t = tiv_from_chroma(random_chroma(rng))
-            base = [quality(t) for quality in QUALITIES]
+            base = [quality(t) for quality in functions]
             for p in range(12):
                 tt = transpose(t, p)
-                for quality, want in zip(QUALITIES, base):
+                for quality, want in zip(functions, base):
                     assert quality(tt) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "weights", [None, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [7.5, 1e-3, 2.0, 1e3, 0.5, 3.0]]
+    )
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_named_qualities_are_columns_of_qualities(self, rng, weights, scale):
+        frames = rng.uniform(0.0, 1.0, (500, 12)) * scale
+        frames[rng.uniform(size=500) < 0.2] = 0.0
+        kwargs = {} if weights is None else {"weights": weights}
+        batch = tiv_from_chroma(frames, **kwargs)
+        q = qualities(batch)
+        assert q.shape == (500, 6)
+        for k, quality in ((0, chromaticity), (4, diatonicity), (5, wholetoneness)):
+            assert np.array_equal(q[:, k], quality(batch))
+            for i in (0, 1, 499):
+                one = tiv_from_chroma(frames[i], **kwargs)
+                assert np.array_equal(qualities(one)[k], quality(one))
+                assert type(quality(one)) is float
 
 
 class TestDistances:
@@ -158,6 +184,17 @@ class TestDistances:
         for _ in range(100):
             a, b, c = (tiv_from_chroma(random_chroma(rng)) for _ in range(3))
             assert euclid(a, c) <= euclid(a, b) + euclid(b, c) + 1e-9
+
+    def test_euclid_batches_of_different_lengths_rejected(self, rng):
+        five = tiv_from_chroma(rng.uniform(0.0, 1.0, (5, 12)))
+        two = tiv_from_chroma(rng.uniform(0.0, 1.0, (2, 12)))
+        for a, b in ((five, two), (two, five)):
+            with pytest.raises(ChromaError, match=f"got {len(a)} and {len(b)}"):
+                euclid(a, b)
+        # a batch against one vector still broadcasts, either way round
+        want = [euclid(five[i], two[0]) for i in range(5)]
+        assert np.array_equal(euclid(five, two[0]), want)
+        assert np.array_equal(euclid(two[0], five), want)
 
     def test_parsimonious_voice_leading_is_closer(self):
         major = tiv_from_chroma(MAJOR_TRIAD)
@@ -301,7 +338,7 @@ class TestHarmonicChange:
 
     def test_bad_coefficient_subset_rejected(self):
         tivs = [tiv_from_chroma(MAJOR_TRIAD)] * 3
-        for bad in ([0], [7], [], [2.7], ["3"], [3, None]):
+        for bad in ([0], [7], [], [2.7], ["3"], [3, None], [True, 2], 5):
             with pytest.raises(ChromaError):
                 harmonic_change(tivs, coeffs=bad)
 
