@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_BINS, _as_bins, _as_int, _as_real, _frozen, _row_blocks
+from .core import N_BINS, _as_bins, _as_floats, _as_int, _as_real, _frozen, _readonly, _row_blocks
 from .errors import ChromaError, DegenerateInputError
 
 # Built-in extractor defaults; override via function arguments / CLI flags.
@@ -145,7 +145,7 @@ def load_chroma_csv(path) -> ChromaSequence:
                 frames = _plain_csv_frames(text_fh)
                 if frames is not None:
                     try:
-                        return ChromaSequence(frames, source=str(path))
+                        return ChromaSequence(_readonly(frames), source=str(path))
                     except ChromaError:
                         frames = None  # freed: the row loop below names the bad row
                 text_fh.seek(0)
@@ -235,7 +235,8 @@ def load_chroma_json(path) -> ChromaSequence:
     if frame_rate is not None:
         frame_rate = _as_real(frame_rate, f'{path}: "frame_rate"', positive=True)
     try:
-        return ChromaSequence(raw, frame_rate=frame_rate, source=str(path))
+        frames = _readonly(_as_floats(raw, "chroma bins"))  # a new array: held without a copy
+        return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
     except ChromaError:
         pass  # the row loop names the bad row
 
@@ -284,10 +285,10 @@ def global_chroma(seq: ChromaSequence, start=None, stop=None) -> np.ndarray:
             f"empty or out-of-bounds frame range [{lo}, {hi}) for {n} frames"
         )
     block = seq.frames[lo:hi]
-    # baseline + mean of deviations: bit-exact when all frames are equal;
-    # the clip absorbs sub-ulp cancellation noise that could dip below zero
+    # baseline + mean of deviations (ndarray.mean's sum and division, unwrapped): bit-exact
+    # when all frames are equal; the clip absorbs sub-ulp noise that could dip below zero
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = block[0] + (block - block[0]).mean(axis=0)
+        mean = block[0] + np.add.reduce(block - block[0], axis=0) / len(block)
     if not np.isfinite(mean).all():
         raise ChromaError("the frame mean overflows the float range")
     return np.maximum(mean, 0.0)
@@ -314,17 +315,15 @@ def window_average(seq: ChromaSequence, n: int) -> ChromaSequence:
     if not np.isfinite(blocks).all():
         raise ChromaError("the frame mean overflows the float range")
     rate = None if seq.frame_rate is None else seq.frame_rate / n
-    return ChromaSequence(blocks, frame_rate=rate, source=seq.source)
+    return ChromaSequence(_readonly(blocks), frame_rate=rate, source=seq.source)
 
 
 def _to_float_samples(data: np.ndarray, path) -> np.ndarray:
-    """Normalize WAV sample data to float64 in roughly [-1, 1]."""
-    if data.dtype == np.uint8:
-        return (data.astype(np.float64) - 128.0) / 128.0
-    if data.dtype == np.int16:
-        return data.astype(np.float64) / 2.0**15
-    if data.dtype == np.int32:  # also covers 24-bit PCM
-        return data.astype(np.float64) / 2.0**31
+    """Normalize WAV samples to float64 in about [-1, 1]; b-bit PCM is scaled by 2**(1 - b)."""
+    if data.dtype == np.uint8:  # unsigned, centred on 128
+        return np.multiply(np.subtract(data, 128.0), 2.0**-7)
+    if data.dtype in (np.int16, np.int32):  # int32 also covers 24-bit PCM
+        return np.multiply(data, 2.0 ** (1 - 8 * data.itemsize))
     if data.dtype in (np.float32, np.float64):
         return data.astype(np.float64)
     raise ChromaError(f"{path}: unsupported WAV sample format {data.dtype}")
@@ -396,6 +395,5 @@ def extract_chroma_wav(
     for i in range(0, len(segments), block):
         spectrum = np.fft.rfft(segments[i : i + block] * window, axis=1)
         power[i : i + block] = np.abs(spectrum[:, lo:hi]) ** 2
-    return ChromaSequence(
-        power @ fold, frame_rate=sample_rate / hop_size, source=str(path)
-    )
+    frames = _readonly(power @ fold)
+    return ChromaSequence(frames, frame_rate=sample_rate / hop_size, source=str(path))

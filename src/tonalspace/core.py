@@ -8,8 +8,9 @@ transposition-invariant; phases identify which transposition is at hand.
 The discarded DC numerator (the raw chroma sum) is kept as ``energy`` so
 vectors can later be mixed in proportion to their loudness.
 
-All values are immutable after construction and all operations are pure,
-so they can be shared freely across threads.
+All values are immutable and all operations are pure, so they can be shared
+freely across threads.  A value holds a read-only array that owns its data (as
+every array the library builds for one does) as it is, and a copy of any other.
 
 Batch shapes: ``tiv_from_chroma`` takes one (12,) chroma vector or an
 (N, 12) frame matrix and transforms the rows in blocks.  One vector
@@ -27,6 +28,7 @@ with ChromaError.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -109,9 +111,11 @@ def _as_bins(bins, ndims) -> np.ndarray:
         raise ChromaError(
             f"chroma must have exactly {N_BINS} bins, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    # one min/max pair finds NaN (it propagates into both), infinities and negatives
+    lo, hi = float(arr.min(initial=math.inf)), float(arr.max(initial=-math.inf))
+    if not (-math.inf < lo and hi < math.inf):
         raise ChromaError("chroma bins must be finite (no NaN or infinity)")
-    if np.any(arr < 0):
+    if lo < 0:
         raise ChromaError("chroma bins must be nonnegative")
     return arr
 
@@ -123,7 +127,7 @@ def as_weights(weights) -> np.ndarray:
         raise ChromaError(
             f"weights must have exactly {N_COEFFS} entries, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+    if not 0 < float(arr.min()) <= float(arr.max()) < math.inf:  # a NaN fails it
         raise ChromaError("weights must be finite and strictly positive")
     return arr
 
@@ -139,9 +143,15 @@ def _require_single(what: str, *tivs) -> None:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
+    if arr.flags.owndata and not arr.flags.writeable:
+        return arr
+    return _readonly(np.array(arr, copy=True))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which no one else holds yet, marked read-only: a value holds it as it is."""
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +177,7 @@ class Tiv:
             raise ChromaError("energy must hold one value per vector")
         if not np.isfinite(coeffs).all():
             raise ChromaError("coeffs must be finite")
-        if not (np.all(np.isfinite(energy)) and np.all(energy >= 0)):
+        if not 0 <= float(energy.min(initial=0.0)) <= float(energy.max(initial=0.0)) < math.inf:
             raise ChromaError("energy must be finite and nonnegative")
         object.__setattr__(self, "coeffs", _frozen(coeffs))
         object.__setattr__(
@@ -246,14 +256,14 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
         energy = frames.sum(axis=1)
     silent = energy == 0.0
     scale = np.where(silent, 1.0, energy)[:, None]
-    coeffs = np.empty((len(frames), N_COEFFS), complex)
+    out = np.empty(c.shape[:-1] + (N_COEFFS,), complex)
+    coeffs = out.reshape(-1, N_COEFFS)  # the rows of ``out``, also of one vector
     for rows in _row_blocks(len(frames)):
         spectrum = np.fft.fft(frames[rows] / scale[rows], axis=1)
         coeffs[rows] = spectrum[:, 1 : N_COEFFS + 1] * w
     coeffs[silent] = 0.0
-    if c.ndim == 1:
-        return Tiv(coeffs=coeffs[0], energy=energy[0], weights=w)
-    return Tiv(coeffs=coeffs, energy=energy, weights=w)
+    energy = energy[0] if c.ndim == 1 else _readonly(energy)
+    return Tiv(coeffs=_readonly(out), energy=energy, weights=w)
 
 
 def mag(t: Tiv) -> np.ndarray:
@@ -268,7 +278,7 @@ def phases(t: Tiv) -> PhaseVector:
     magnitude = np.abs(t.coeffs)
     valid = magnitude >= PHASE_EPS
     values = np.where(valid, np.angle(t.coeffs), 0.0)
-    return PhaseVector(values=values, valid=valid)
+    return PhaseVector(values=_readonly(values), valid=_readonly(valid))
 
 
 def _require_same_weights(a: Tiv, b: Tiv) -> None:
@@ -295,7 +305,7 @@ def combine(tivs) -> Tiv:
     with np.errstate(over="ignore", invalid="ignore"):  # Tiv refuses an overflow
         total = float(energies.sum())
         coeffs = sum(t.coeffs * a for t, a in zip(ts, energies)) / total
-    return Tiv(coeffs=coeffs, energy=total, weights=ts[0].weights)
+    return Tiv(coeffs=_readonly(coeffs), energy=total, weights=ts[0].weights)
 
 
 def transpose(t: Tiv, semitones: int) -> Tiv:
@@ -310,4 +320,4 @@ def transpose(t: Tiv, semitones: int) -> Tiv:
         return t
     k = np.arange(1, N_COEFFS + 1)
     rotation = np.exp(-2j * np.pi * k * p / N_BINS)
-    return Tiv(coeffs=t.coeffs * rotation, energy=t.energy, weights=t.weights)
+    return Tiv(coeffs=_readonly(t.coeffs * rotation), energy=t.energy, weights=t.weights)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_COEFFS, Tiv, _as_int, _as_real, _frozen, _require_same_weights, _require_single
+from .core import (N_COEFFS, Tiv, _as_int, _as_real, _frozen, _readonly,
+                   _require_same_weights, _require_single)
 from .errors import ChromaError, DegenerateInputError, InsufficientInputError
 
 # Coefficient subset matching Harte-style change detection: circles of
@@ -181,5 +182,5 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
     middle = values[1:-1]
     is_peak = (values[:-2] < middle) & (middle >= values[2:]) & (middle >= floor)
     return HarmonicChangeSeries(
-        values=values, peaks=np.flatnonzero(is_peak) + 1, threshold=floor
+        values=_readonly(values), peaks=_readonly(np.flatnonzero(is_peak) + 1), threshold=floor
     )

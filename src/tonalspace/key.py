@@ -11,10 +11,9 @@ Profile tables ship as JSON data files (``profiles/``) rather than inline
 constants so their provenance stays auditable; ``TONALSPACE_PROFILE_DIR``
 points the loader at an alternative directory.
 
-``build_profile_set`` reads and validates the profile file on every call,
-so an edited or malformed override file takes effect at once; the 24
-reference vectors are memoised by the profiles' and weights' contents, so a
-process estimating many keys computes them once per distinct profile set.
+``build_profile_set`` reads the profile file on every call, so an edited or
+malformed override file takes effect at once; a process estimating many keys
+checks each distinct profile text and computes its 24 references only once.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import (
     Tiv,
     _as_real,
     _frozen,
+    _readonly,
     _require_same_weights,
     _require_single,
     as_chroma,
@@ -109,25 +109,13 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
 
     Schema: {"name": str, "major": [12 numbers], "minor": [12 numbers],
     "alpha": positive finite number}; extra keys (e.g. "source") and a
-    leading BOM are ignored.
+    leading BOM are ignored.  Each text is checked once; its arrays are read-only.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
+            return _checked_profile(fh.read(), path)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ChromaError(f"profile file {path} must hold a JSON object")
-    for field in ("name", "major", "minor", "alpha"):
-        if field not in data:
-            raise ChromaError(f"profile file {path} is missing field {field!r}")
-    for field in ("major", "minor"):
-        try:
-            data[field] = as_chroma(data[field])
-        except ChromaError as exc:
-            raise ChromaError(f"profile file {path}: {field}: {exc}") from None
-    alpha = _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
-    return data["major"], data["minor"], alpha
 
 
 def build_profile_set(
@@ -167,6 +155,24 @@ def build_profile_set(
 
 
 @functools.lru_cache(maxsize=16)
+def _checked_profile(text: str, path) -> tuple[np.ndarray, np.ndarray, float]:
+    """``load_profile_file``'s result for the decoded ``text`` of ``path``."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ChromaError(f"profile file {path} must hold a JSON object")
+    for field in ("name", "major", "minor", "alpha"):
+        if field not in data:
+            raise ChromaError(f"profile file {path} is missing field {field!r}")
+    for field in ("major", "minor"):
+        try:
+            data[field] = _readonly(as_chroma(data[field]))
+        except ChromaError as exc:
+            raise ChromaError(f"profile file {path}: {field}: {exc}") from None
+    alpha = _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
+    return data["major"], data["minor"], alpha
+
+
+@functools.lru_cache(maxsize=16)
 def _references(major: bytes, minor: bytes, weights: bytes) -> Tiv:
     """The 24 reference vectors of a profile pair, from the float64 bytes of
     the profiles and weights; row r of each half is ``np.roll(profile, r)``."""
@@ -191,9 +197,9 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     if np.linalg.norm(t.coeffs) == 0.0:
         raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
     _require_same_weights(t, profiles.profile_tivs)
-    queries = t.coeffs * np.repeat([1.0, profiles.alpha], 12)[:, None]
-    distances = np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs))
-    index = int(np.argmin(distances))
+    queries = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None]
+    distances = _readonly(np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs)))
+    index = int(distances.argmin())
     return KeyResult(
         index=index,
         tonic=index % 12,

@@ -1,5 +1,7 @@
-"""Tests for the summary arithmetic of ``tools/bench_record.py``."""
+"""Tests for ``tools/bench_record.py``: the summary arithmetic and the recorded runs."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,42 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert (p50["parent"]["q1"], p50["parent"]["median"], p50["parent"]["q3"]) == (2.5, 3.0, 3.5)
     assert summary["frames_per_s"]["change_wins"] == 2
     assert summary["failed_ops"] == {"parent": 2, "change": 0}
+
+
+def test_main_records_the_pairs_and_one_traced_run_per_side(tmp_path, monkeypatch):
+    checkouts = {side: tmp_path / side for side in bench_record.SIDES}
+    for path in checkouts.values():
+        path.mkdir()
+    spec = {
+        "workloads": [{"name": "w"}],
+        "run_seconds": 3,
+        "end_to_end": [{"name": "op_p50_ms", "better": "lower"}],
+    }
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+    commands = []
+
+    def fake_subprocess_run(cmd, cwd, **kwargs):
+        commands.append((Path(cwd).name, cmd[cmd.index("--trace") + 1]))
+        fast = Path(cwd).name == "change"
+        if cmd[cmd.index("--trace") + 1] == "1":
+            metrics = {"cli.main_s": 0.4e-3 if fast else 0.6e-3, "key.profile_s": 1e-5}
+        else:
+            metrics = {"op_p50_ms": 0.5 if fast else 0.6}
+        final = {"failed": 0, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+        out = "w speed: calibration median 0.03 s over 9 timings\n" + json.dumps(final) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_subprocess_run)
+    out = tmp_path / "BENCH.json"
+    argv = ["bench_record.py", "--parent", str(checkouts["parent"]),
+            "--change", str(checkouts["change"]), "--seeds", "7", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_record.main() == 0
+    record = json.loads(out.read_text())
+    assert record["summary"]["w"]["op_p50_ms"]["change_wins"] == bench_record.PAIRS
+    # the ten alternating untraced pairs first, then one traced run per side
+    assert commands[-2:] == [("parent", "1"), ("change", "1")]
+    assert [trace for _, trace in commands[:-2]] == ["0"] * 2 * bench_record.PAIRS
+    traced = record["traced"]["w"]
+    assert traced["change"]["metrics"] == {"cli.main_s": 0.4e-3, "key.profile_s": 1e-5}
+    assert traced["parent"]["calibration_median_s"] == 0.03

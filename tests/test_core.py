@@ -13,6 +13,10 @@ from tonalspace import (
     ChromaError,
     ChromaSequence,
     DegenerateInputError,
+    HarmonicChangeSeries,
+    KeyProfileSet,
+    KeyResult,
+    PhaseVector,
     Tiv,
     WeightMismatchError,
     as_chroma,
@@ -370,6 +374,66 @@ class TestTranspose:
             both = p0.valid & p1.valid
             delta = (p1.values - expected)[both]
             assert np.allclose(np.mod(delta + np.pi, 2 * np.pi) - np.pi, 0, atol=1e-9)
+
+
+REFERENCES = build_profile_set("temperley").profile_tivs
+
+# value class and array field -> (constructor from that one array, a fresh array for it)
+HOLDERS = {
+    "ChromaSequence.frames": (ChromaSequence, lambda: np.ones((2, 12))),
+    "Tiv.coeffs": (lambda a: Tiv(a, 1.0, DEFAULT_WEIGHTS), lambda: np.ones(6, complex)),
+    "Tiv.energy": (
+        lambda a: Tiv(np.ones((2, 6), complex), a, DEFAULT_WEIGHTS), lambda: np.ones(2)),
+    "Tiv.weights": (lambda a: Tiv(np.ones(6, complex), 1.0, a), lambda: np.ones(6)),
+    "PhaseVector.values": (lambda a: PhaseVector(a, np.ones(6, bool)), lambda: np.ones(6)),
+    "PhaseVector.valid": (lambda a: PhaseVector(np.ones(6), a), lambda: np.ones(6, bool)),
+    "HarmonicChangeSeries.values": (
+        lambda a: HarmonicChangeSeries(a, [1], 0.5), lambda: np.ones(3)),
+    "HarmonicChangeSeries.peaks": (
+        lambda a: HarmonicChangeSeries(np.ones(3), a, 0.5), lambda: np.ones(1, int)),
+    "KeyResult.distances": (lambda a: KeyResult(0, 0, "major", a), lambda: np.ones(24)),
+    "KeyProfileSet.major_profile": (
+        lambda a: KeyProfileSet("p", a, np.ones(12), 0.5, REFERENCES), lambda: np.ones(12)),
+    "KeyProfileSet.minor_profile": (
+        lambda a: KeyProfileSet("p", np.ones(12), a, 0.5, REFERENCES), lambda: np.ones(12)),
+}
+
+
+class TestHandOver:
+    """A value holds a read-only array that owns its data as it is and copies
+    any other, so a caller's later writes never reach it."""
+
+    @pytest.mark.parametrize("field", HOLDERS)
+    def test_a_writeable_input_is_copied(self, field):
+        build, fresh = HOLDERS[field]
+        arr = fresh()
+        held = getattr(build(arr), field.split(".")[1])
+        want = arr.copy()
+        arr[...] = 0
+        assert held is not arr and np.array_equal(held, want)
+        assert not held.flags.writeable
+
+    @pytest.mark.parametrize("field", HOLDERS)
+    def test_a_read_only_array_that_owns_its_data_is_held_as_it_is(self, field):
+        build, fresh = HOLDERS[field]
+        arr = fresh()
+        arr.flags.writeable = False
+        assert getattr(build(arr), field.split(".")[1]) is arr
+
+    def test_a_read_only_view_is_copied(self):
+        base = np.ones((3, 12))
+        view = base[:2]
+        view.flags.writeable = False
+        seq = ChromaSequence(view)
+        base[0, 0] = 5.0
+        assert seq.frames is not view and seq.frames[0, 0] == 1.0
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 12)], ids=["vector", "batch"])
+    def test_library_results_are_handed_on_without_a_copy(self, shape):
+        t = tiv_from_chroma(np.arange(np.prod(shape), dtype=float).reshape(shape))
+        assert t.coeffs.flags.owndata and not t.coeffs.flags.writeable
+        again = Tiv(t.coeffs, t.energy, t.weights)
+        assert again.coeffs is t.coeffs and again.weights is t.weights
 
 
 def test_all_is_the_public_api():

@@ -9,10 +9,13 @@ The workloads and the run length come from the change checkout's
 ``BENCHMARK.json``.  Each of the ten pairs runs ``tsbench/run.py --trace 0``
 once in each checkout for every workload, back to back; even pairs run the
 parent first and odd pairs the change, so drift of the shared machine falls
-on both sides alike.  Pair i uses seed ``seeds[i % len(seeds)]``.  The file
-holds every run's final JSON line and calibration median, and per workload
+on both sides alike.  Pair i uses seed ``seeds[i % len(seeds)]``.  After the
+pairs, one ``--trace 1`` run per side and workload (seed ``seeds[0]``)
+gives the per-layer metrics that show where a change moved the time.  The
+file holds every run's final JSON line and calibration median, per workload
 and end-to-end metric each side's median and quartiles plus the number of
-pairs the change won (ties count for neither side), with the Python and
+pairs the change won (ties count for neither side), under ``"traced"`` each
+traced run's per-layer metrics and calibration median, and the Python and
 numpy versions.
 """
 
@@ -33,11 +36,11 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced tsbench run: its final JSON line and calibration median."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One tsbench run: its final JSON line and calibration median."""
     cmd = [
         sys.executable, "tsbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
     return {
@@ -49,6 +52,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 def spread(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def traced_runs(checkouts: dict, workloads: list[str], seed: int, seconds: int) -> dict:
+    """Workload -> side -> the per-layer metrics of one traced run."""
+    traced = {}
+    for workload in workloads:
+        for side in SIDES:
+            run = run_once(checkouts[side], workload, seed, seconds, trace=1)
+            metrics = {name: m["value"] for name, m in run["final"]["metrics"].items()}
+            traced.setdefault(workload, {})[side] = {
+                "metrics": metrics,
+                "calibration_median_s": run["calibration_median_s"],
+            }
+            print(f"traced {workload} {side}: cli.main_s {metrics['cli.main_s']:.4g}", flush=True)
+    return traced
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
@@ -107,6 +125,7 @@ def main() -> int:
         "seconds": seconds,
         "seeds": args.seeds,
         "summary": summarise(runs, better),
+        "traced": traced_runs(checkouts, workloads, args.seeds[0], seconds),
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
