@@ -8,9 +8,11 @@ transposition-invariant; phases identify which transposition is at hand.
 The discarded DC numerator (the raw chroma sum) is kept as ``energy`` so
 vectors can later be mixed in proportion to their loudness.
 
-All values are immutable and all operations are pure, so they can be shared
-freely across threads.  A value holds a read-only array that owns its data (as
-every array the library builds for one does) as it is, and a copy of any other.
+Values are read-only and operations pure, so both can be shared across threads.
+A value holds a read-only array that owns its data (as every array the library
+builds for one does) as it is and copies any other, so a caller's later writes
+to a writeable array never reach it.  A writeable view made before the array
+was marked read-only still writes through, and numpy cannot tell; pass a copy.
 
 Batch shapes: ``tiv_from_chroma`` takes one (12,) chroma vector or an
 (N, 12) frame matrix and transforms the rows in blocks.  One vector
@@ -122,6 +124,8 @@ def _as_bins(bins, ndims) -> np.ndarray:
 
 def as_weights(weights) -> np.ndarray:
     """Validate and return an interval weight vector of shape (6,)."""
+    if weights is DEFAULT_WEIGHTS:  # the read-only default needs no check
+        return weights
     arr = _as_floats(weights, "weights")
     if arr.shape != (N_COEFFS,):
         raise ChromaError(

@@ -11,9 +11,10 @@ Profile tables ship as JSON data files (``profiles/``) rather than inline
 constants so their provenance stays auditable; ``TONALSPACE_PROFILE_DIR``
 points the loader at an alternative directory.
 
-``build_profile_set`` reads the profile file on every call, so an edited or
-malformed override file takes effect at once; a process estimating many keys
-checks each distinct profile text and computes its 24 references only once.
+``build_profile_set`` reads and validates the profile file on every call,
+so an edited or malformed override file takes effect at once; the 24
+reference vectors are memoised by the profiles' and weights' contents, so a
+process estimating many keys computes them once per distinct profile set.
 """
 
 from __future__ import annotations
@@ -109,13 +110,25 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
 
     Schema: {"name": str, "major": [12 numbers], "minor": [12 numbers],
     "alpha": positive finite number}; extra keys (e.g. "source") and a
-    leading BOM are ignored.  Each text is checked once; its arrays are read-only.
+    leading BOM are ignored.  The arrays are read-only, so a KeyProfileSet holds them.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return _checked_profile(fh.read(), path)
+            data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ChromaError(f"profile file {path} must hold a JSON object")
+    for field in ("name", "major", "minor", "alpha"):
+        if field not in data:
+            raise ChromaError(f"profile file {path} is missing field {field!r}")
+    for field in ("major", "minor"):
+        try:
+            data[field] = _readonly(as_chroma(data[field]))
+        except ChromaError as exc:
+            raise ChromaError(f"profile file {path}: {field}: {exc}") from None
+    alpha = _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
+    return data["major"], data["minor"], alpha
 
 
 def build_profile_set(
@@ -152,24 +165,6 @@ def build_profile_set(
         alpha=alpha,
         profile_tivs=_references(major.tobytes(), minor.tobytes(), w.tobytes()),
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _checked_profile(text: str, path) -> tuple[np.ndarray, np.ndarray, float]:
-    """``load_profile_file``'s result for the decoded ``text`` of ``path``."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ChromaError(f"profile file {path} must hold a JSON object")
-    for field in ("name", "major", "minor", "alpha"):
-        if field not in data:
-            raise ChromaError(f"profile file {path} is missing field {field!r}")
-    for field in ("major", "minor"):
-        try:
-            data[field] = _readonly(as_chroma(data[field]))
-        except ChromaError as exc:
-            raise ChromaError(f"profile file {path}: {field}: {exc}") from None
-    alpha = _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
-    return data["major"], data["minor"], alpha
 
 
 @functools.lru_cache(maxsize=16)

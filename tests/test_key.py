@@ -157,22 +157,6 @@ class TestProfileSets:
             assert profile.shape == (12,) and profile.tolist() == want
         assert type(alpha) is float and alpha == 2.0
 
-    def test_an_unchanged_profile_text_is_parsed_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "p.json"
-        data = {"name": "p", "major": [1.0] * 12, "minor": [2.0] * 12, "alpha": 0.5}
-        path.write_text(json.dumps(data))
-        parsed = []
-        loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
-        first, second = load_profile_file(path), load_profile_file(path)
-        assert len(parsed) == 1
-        assert first[0] is second[0] and first[1] is second[1]
-        for profile in first[:2]:  # shared by every call, so read-only
-            with pytest.raises(ValueError):
-                profile[0] = 0.0
-        path.write_text(json.dumps({**data, "alpha": 0.25}))  # the file is read every call
-        assert load_profile_file(path)[2] == 0.25 and len(parsed) == 2
-
     @pytest.mark.parametrize(
         ("data", "message"),
         [
@@ -189,10 +173,9 @@ class TestProfileSets:
         # positions count the text as read: the BOM dropped, CRLF read as LF
         path = tmp_path / "p.json"
         path.write_bytes(data)
-        for _ in range(2):  # a refused text is not cached
-            with pytest.raises(ChromaError) as info:
-                load_profile_file(path)
-            assert str(info.value) == f"cannot read profile file {path}: {message}"
+        with pytest.raises(ChromaError) as info:
+            load_profile_file(path)
+        assert str(info.value) == f"cannot read profile file {path}: {message}"
 
     def test_malformed_profile_file(self, tmp_path, monkeypatch):
         (tmp_path / "broken.json").write_text('{"name": "broken", "major": [1, 2]}')
