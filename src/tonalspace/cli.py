@@ -286,59 +286,61 @@ def cmd_extract_chroma(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+# One _COMMANDS row per subcommand: name, function, help, arguments in --help
+# order.  An argument is a (flag or positional name, add_argument keywords)
+# pair; the groups hold the options that several subcommands share.
+_STFT_OPTIONS = (
+    ("--window-size", dict(type=int, default=DEFAULT_WINDOW_SIZE,
+                           help="STFT window for WAV input (power of two)")),
+    ("--hop-size", dict(type=int, default=DEFAULT_HOP_SIZE, help="STFT hop for WAV input")),
+)
+_INPUT_OPTIONS = (
+    ("--format", dict(choices=("auto", "csv", "json", "wav"), default="auto",
+                      help="input format (default: by file extension)")),
+    ("--weights", dict(metavar="W1,...,W6", help="override the 6 interval weights "
+                       "(default 3,8,11.5,15,14.5,7.5)")),
+    *_STFT_OPTIONS,
+)
+_PROFILE_OPTIONS = (
+    ("--profile", dict(default="temperley", help="key profile set: temperley, shaath, or "
+                       "<name> for <name>.json in $TONALSPACE_PROFILE_DIR (default: temperley)")),
+    ("--alpha", dict(type=float, help="override the profile set's minor-mode bias")),
+)
+_OUT = ("--out", dict(help="output file (default: stdout)"))
+_OUT_FORMAT = ("--out-format", dict(choices=("csv", "json"), default="csv",
+                                    help="output format (default: csv)"))
 
-def _add_input_options(sp) -> None:
-    sp.add_argument(
-        "--format",
-        choices=("auto", "csv", "json", "wav"),
-        default="auto",
-        help="input format (default: by file extension)",
-    )
-    sp.add_argument(
-        "--weights",
-        default=None,
-        metavar="W1,...,W6",
-        help="override the 6 interval weights (default 3,8,11.5,15,14.5,7.5)",
-    )
-    _add_stft_options(sp)
-
-
-def _add_stft_options(sp) -> None:
-    sp.add_argument(
-        "--window-size",
-        type=int,
-        default=DEFAULT_WINDOW_SIZE,
-        help="STFT window for WAV input (power of two)",
-    )
-    sp.add_argument(
-        "--hop-size", type=int, default=DEFAULT_HOP_SIZE, help="STFT hop for WAV input"
-    )
-
-
-def _add_output_options(sp, *, out_format=True) -> None:
-    sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    if out_format:
-        sp.add_argument(
-            "--out-format",
-            choices=("csv", "json"),
-            default="csv",
-            help="output format (default: csv)",
-        )
-
-
-def _add_profile_options(sp) -> None:
-    sp.add_argument(
-        "--profile",
-        default="temperley",
-        help="key profile set: temperley, shaath, or <name> for <name>.json in "
-        "$TONALSPACE_PROFILE_DIR (default: temperley)",
-    )
-    sp.add_argument(
-        "--alpha",
-        type=float,
-        default=None,
-        help="override the profile set's minor-mode bias",
-    )
+_COMMANDS = (
+    ("analyze", cmd_analyze, "per-frame qualities, harmonic change, global key", (
+        ("input", {}),
+        ("--window-avg", dict(type=int, default=1, metavar="N",
+                              help="average N consecutive chroma frames before analysis")),
+        *_PROFILE_OPTIONS,
+        ("--threshold", dict(default="adaptive", help="harmonic-change peak threshold: "
+                             "'adaptive' (mean+std) or a number")),
+        ("--hchange-coeffs", dict(choices=("all", "harte"), default="all", help="coefficients "
+                                  "for harmonic change: all six, or the 3/4/5 subset")),
+        *_INPUT_OPTIONS, _OUT, _OUT_FORMAT)),
+    ("key", cmd_key, "estimate each input's global key; prints '<index> <label>', prefixed "
+     "by '<path><TAB>' given several inputs", (
+        ("inputs", dict(nargs="+", metavar="input")), *_PROFILE_OPTIONS, *_INPUT_OPTIONS)),
+    ("combine", cmd_combine, "energy-weighted mix of the inputs' interval vectors "
+     "(one input prints its own global vector)", (
+        ("inputs", dict(nargs="+")), *_INPUT_OPTIONS, _OUT)),
+    ("distance", cmd_distance, "distance between two inputs", (
+        ("a", {}),
+        ("b", {}),
+        ("--metric", dict(choices=("euclid", "cosine", "cosine-sim"), default="euclid",
+                          help="euclid, cosine (distance, 1 - similarity), or cosine-sim")),
+        *_INPUT_OPTIONS)),
+    ("extract-chroma", cmd_extract_chroma, "WAV -> chroma CSV/JSON", (
+        ("input", {}),
+        *_STFT_OPTIONS,
+        ("--fmin", dict(type=float, default=DEFAULT_FMIN)),
+        ("--fmax", dict(type=float, default=DEFAULT_FMAX)),
+        ("--a4", dict(type=float, default=DEFAULT_A4)),
+        _OUT, _OUT_FORMAT)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,75 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tonal analysis of chroma sequences in a weighted interval space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser(
-        "analyze", help="per-frame qualities, harmonic change, global key"
-    )
-    analyze.add_argument("input")
-    analyze.add_argument(
-        "--window-avg",
-        type=int,
-        default=1,
-        metavar="N",
-        help="average N consecutive chroma frames before analysis",
-    )
-    _add_profile_options(analyze)
-    analyze.add_argument(
-        "--threshold",
-        default="adaptive",
-        help="harmonic-change peak threshold: 'adaptive' (mean+std) or a number",
-    )
-    analyze.add_argument(
-        "--hchange-coeffs",
-        choices=("all", "harte"),
-        default="all",
-        help="coefficients for harmonic change: all six, or the 3/4/5 subset",
-    )
-    _add_input_options(analyze)
-    _add_output_options(analyze)
-    analyze.set_defaults(func=cmd_analyze)
-
-    key = sub.add_parser(
-        "key",
-        help="estimate each input's global key; prints '<index> <label>', "
-        "prefixed by '<path><TAB>' given several inputs",
-    )
-    key.add_argument("inputs", nargs="+", metavar="input")
-    _add_profile_options(key)
-    _add_input_options(key)
-    key.set_defaults(func=cmd_key)
-
-    comb = sub.add_parser(
-        "combine",
-        help="energy-weighted mix of the inputs' interval vectors "
-        "(one input prints its own global vector)",
-    )
-    comb.add_argument("inputs", nargs="+")
-    _add_input_options(comb)
-    _add_output_options(comb, out_format=False)
-    comb.set_defaults(func=cmd_combine)
-
-    dist = sub.add_parser("distance", help="distance between two inputs")
-    dist.add_argument("a")
-    dist.add_argument("b")
-    dist.add_argument(
-        "--metric",
-        choices=("euclid", "cosine", "cosine-sim"),
-        default="euclid",
-        help="euclid, cosine (distance, 1 - similarity), or cosine-sim",
-    )
-    _add_input_options(dist)
-    dist.set_defaults(func=cmd_distance)
-
-    extract = sub.add_parser("extract-chroma", help="WAV -> chroma CSV/JSON")
-    extract.add_argument("input")
-    _add_stft_options(extract)
-    extract.add_argument("--fmin", type=float, default=DEFAULT_FMIN)
-    extract.add_argument("--fmax", type=float, default=DEFAULT_FMAX)
-    extract.add_argument("--a4", type=float, default=DEFAULT_A4)
-    _add_output_options(extract)
-    extract.set_defaults(func=cmd_extract_chroma)
-
+    for name, func, summary, arguments in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 

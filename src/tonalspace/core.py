@@ -295,7 +295,7 @@ def combine(tivs) -> Tiv:
 
     Equivalent to building one vector from the summed raw chromas, computed
     directly in coefficient space.  The result's energy is the sum of the
-    operand energies; a sum or mix beyond the float range raises ChromaError.
+    operand energies; a sum beyond the float range raises ChromaError.
     """
     ts = list(tivs)
     if len(ts) < 2:
@@ -309,6 +309,9 @@ def combine(tivs) -> Tiv:
     with np.errstate(over="ignore", invalid="ignore"):  # Tiv refuses an overflow
         total = float(energies.sum())
         coeffs = sum(t.coeffs * a for t, a in zip(ts, energies)) / total
+        if math.isfinite(total) and not np.isfinite(coeffs).all():
+            # only the energy-weighted sum overflowed: weight by shares instead
+            coeffs = sum(t.coeffs * (a / total) for t, a in zip(ts, energies))
     return Tiv(coeffs=_readonly(coeffs), energy=total, weights=ts[0].weights)
 
 

@@ -9,7 +9,8 @@ a stray numpy error or warning:
   the cosine and a ``combine`` of only silence raise DegenerateInputError,
   as key estimation and the cosine do for a zero-norm (uniform) chroma.
 - ChromaError: NaN, infinite or negative bins; bin sums, frame means and
-  ``combine`` energy sums beyond the float range; NaN, infinite or
+  ``combine`` energy sums beyond the float range (a mix whose energy sum is
+  finite is computed, however large its operands); NaN, infinite or
   non-positive weights; a batch given to a function of one vector
   (``estimate_key``, the cosine, ``combine``'s and ``harmonic_change``'s
   list items, ``Tiv.to_dict``); two batches of different lengths given to

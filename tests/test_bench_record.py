@@ -62,8 +62,14 @@ def test_main_records_the_pairs_and_one_traced_run_per_side(tmp_path, monkeypatc
     argv = ["bench_record.py", "--parent", str(checkouts["parent"]),
             "--change", str(checkouts["change"]), "--seeds", "7", "--out", str(out)]
     monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_record.main() == 0
+    assert json.loads(out.read_text())["writes_bytecode"] is False
+    commands.clear()
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_record.main() == 0
     record = json.loads(out.read_text())
+    assert record["writes_bytecode"] is True
     assert record["summary"]["w"]["op_p50_ms"]["change_wins"] == bench_record.PAIRS
     # the ten alternating untraced pairs first, then one traced run per side
     assert commands[-2:] == [("parent", "1"), ("change", "1")]

@@ -1,5 +1,6 @@
 """Tests for the batch CLI: subcommands, schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -754,3 +755,51 @@ class TestTopLevel:
         fresh = run_all()
         assert reused == fresh
         assert [code for code, *_ in reused] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0]
+
+    def test_parser_matches_its_recorded_shape(self):
+        """Every parser's actions, in order, with their flags, types,
+        defaults, choices, metavars, help and requiredness, as recorded in
+        ``tests/data/parser.json``.  The ``--help`` text itself is not
+        compared: argparse words and wraps it by Python version and terminal
+        width."""
+        want = json.loads((Path(__file__).parent / "data" / "parser.json").read_text())
+        assert describe_parser(cli.build_parser()) == want
+
+
+def _describe_actions(parser):
+    return [
+        {
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "nargs": action.nargs,
+            "type": getattr(action.type, "__name__", action.type),
+            "default": action.default,
+            "choices": None if action.choices is None else list(action.choices),
+            "metavar": action.metavar,
+            "help": action.help,
+            "required": action.required,
+        }
+        for action in parser._actions
+    ]
+
+
+def describe_parser(parser):
+    """A JSON-ready record of ``parser`` and each of its subcommands."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    return {
+        "prog": parser.prog,
+        "description": parser.description,
+        "actions": _describe_actions(parser),
+        "commands": [
+            {
+                "name": name,
+                "help": helps[name],
+                "prog": sp.prog,
+                "description": sp.description,
+                "func": sp.get_default("func").__name__,
+                "actions": _describe_actions(sp),
+            }
+            for name, sp in sub.choices.items()
+        ],
+    }

@@ -338,6 +338,14 @@ class TestCombine:
         with pytest.raises(ChromaError):
             combine([t, t])
 
+    def test_finite_mix_of_huge_energies(self):
+        # 1e308 * |T(k)| overflows, but the mix's energy is finite
+        c, d = binary_chroma([0]) * 1e308, binary_chroma([4]) * 1e307
+        mixed = combine([tiv_from_chroma(c), tiv_from_chroma(d)])
+        direct = tiv_from_chroma(c + d)
+        assert mixed.energy == direct.energy == 1.1e308
+        assert np.allclose(mixed.coeffs, direct.coeffs, rtol=0, atol=1e-12)
+
 
 class TestTranspose:
     @pytest.mark.parametrize("p", range(12))

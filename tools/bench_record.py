@@ -15,14 +15,17 @@ gives the per-layer metrics that show where a change moved the time.  The
 file holds every run's final JSON line and calibration median, per workload
 and end-to-end metric each side's median and quartiles plus the number of
 pairs the change won (ties count for neither side), under ``"traced"`` each
-traced run's per-layer metrics and calibration median, and the Python and
-numpy versions.
+traced run's per-layer metrics and calibration median, the Python and
+numpy versions, and ``writes_bytecode``: false when ``PYTHONDONTWRITEBYTECODE``
+is set, so that a checkout without current ``.pyc`` files compiles the
+package again in every run's ``setup_s``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import re
 import subprocess
@@ -122,6 +125,7 @@ def main() -> int:
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seconds": seconds,
         "seeds": args.seeds,
         "summary": summarise(runs, better),
