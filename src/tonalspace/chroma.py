@@ -114,7 +114,7 @@ def _plain_csv_frames(fh):
         first = next(lines, "")
         if '"' in first:  # a quoted header may run on past its line
             return None
-        if not _is_number(first.split(",", 1)[0]):
+        if not _is_number(first.split(",", 1)[0].strip()):
             first = next(lines, "")  # the header row
         if not first:  # loadtxt would warn of no data
             return None
@@ -128,9 +128,10 @@ def _plain_csv_frames(fh):
 def load_chroma_csv(path) -> ChromaSequence:
     """Load chroma frames from UTF-8 CSV: one row per frame, 12 numeric columns.
 
-    An optional first header row is detected by a non-numeric first cell.
-    Blank and whitespace-only rows are skipped; cells may be quoted and may
-    carry surrounding whitespace; a leading BOM is ignored.  Malformed rows
+    Cells may be quoted; each is stripped (``str.strip``) before any test.
+    A row whose cells are all blank is skipped like a blank line, and only
+    the first remaining row may be a header, skipped when its first cell is
+    not a number.  A leading BOM is ignored.  Malformed rows
     (wrong column count, negative, NaN, text) raise ChromaError naming the
     first fault in file order.  A plain file is parsed line by line by
     ``np.loadtxt``; one that needs the csv module's rules, or holds a bad
@@ -152,12 +153,13 @@ def load_chroma_csv(path) -> ChromaSequence:
                 text_fh.read()  # decoded whole once, so a bad byte is named by its offset
                 text_fh.seek(0)
                 reader = csv.reader(text_fh)
-                rows = ((reader.line_num, cells) for cells in reader if any(map(str.strip, cells)))
-                rows = itertools.dropwhile(lambda row: not _is_number(row[1][0]), rows)
+                rows = ((reader.line_num, [cell.strip() for cell in cells]) for cells in reader)
+                rows = (row for row in rows if any(row[1]))  # an all-blank row is a blank line
                 try:
-                    frames = _parse_rows(
-                        ((line, [cell.strip() for cell in cells]) for line, cells in rows), path
-                    )
+                    head = next(rows, None)  # the one row that may be a header
+                    if head and _is_number(head[1][0]):
+                        rows = itertools.chain([head], rows)
+                    frames = _parse_rows(rows, path)
                 except csv.Error as exc:
                     raise ChromaError(f"{path}: malformed CSV: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:

@@ -286,7 +286,7 @@ def phases(t: Tiv) -> PhaseVector:
 
 
 def _require_same_weights(a: Tiv, b: Tiv) -> None:
-    if not np.array_equal(a.weights, b.weights):
+    if a.weights is not b.weights and not np.array_equal(a.weights, b.weights):
         raise WeightMismatchError("operands use different interval weight vectors")
 
 

@@ -113,8 +113,9 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
     leading BOM are ignored.  The arrays are read-only, so a KeyProfileSet holds them.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:  # one read; CRLF and CR become LF as in text mode
+            text = fh.read().decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -173,7 +174,8 @@ def _references(major: bytes, minor: bytes, weights: bytes) -> Tiv:
     the profiles and weights; row r of each half is ``np.roll(profile, r)``."""
     rotate = (np.arange(12) - np.arange(12)[:, None]) % 12
     profiles = [np.frombuffer(profile)[rotate] for profile in (major, minor)]
-    return tiv_from_chroma(np.concatenate(profiles), np.frombuffer(weights))
+    w = DEFAULT_WEIGHTS if weights == DEFAULT_WEIGHTS.tobytes() else np.frombuffer(weights)
+    return tiv_from_chroma(np.concatenate(profiles), w)
 
 
 def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
@@ -189,7 +191,7 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     _require_single("estimate_key", t)
     if t.is_silent:
         raise DegenerateInputError("cannot estimate a key for silence")
-    if np.linalg.norm(t.coeffs) == 0.0:
+    if _sqnorm(t.coeffs) == 0.0:
         raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
     _require_same_weights(t, profiles.profile_tivs)
     queries = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None]

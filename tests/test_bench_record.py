@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_record  # noqa: E402
 
@@ -32,6 +34,60 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert (p50["parent"]["q1"], p50["parent"]["median"], p50["parent"]["q3"]) == (2.5, 3.0, 3.5)
     assert summary["frames_per_s"]["change_wins"] == 2
     assert summary["failed_ops"] == {"parent": 2, "change": 0}
+
+
+PARENT = [8.0, 9.0, 9.0, 10.0, 10.0, 10.0, 10.0, 11.0, 11.0, 12.0]  # median 10, q3 - q1 1.5
+
+
+def ten_pairs(parent, change, better):
+    """The summary of ten pairs of a metric ``m`` better in direction ``better``."""
+    runs = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side, value in zip(("parent", "change"), values):
+            final = {"metrics": {"m": {"value": value}}, "failed": 0}
+            runs.append({"pair": pair, "workload": "w", "side": side, "final": final})
+    return bench_record.summarise(runs, {"m": better}, {"m": 0.25})["w"]["m"]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+@pytest.mark.parametrize(
+    ("change", "shown"),
+    [
+        ([p - 2 for p in PARENT[:9]] + [20.0], True),  # 9 of 10 pairs, median 2 better
+        ([p - 2 for p in PARENT[:8]] + [20.0, 20.0], False),  # 8 of 10 pairs
+        ([p - 1 for p in PARENT], False),  # 10 of 10, by less than the parent's q3 - q1
+    ],
+)
+def test_a_gain_needs_nine_wins_and_a_median_gap_beyond_the_parents_iqr(change, shown, better):
+    if better == "higher":  # mirror both sides, so the change wins the same pairs
+        parent, change = [-p for p in PARENT], [-c for c in change]
+    else:
+        parent = PARENT
+    summary = ten_pairs(parent, change, better)
+    assert summary["parent"]["q3"] - summary["parent"]["q1"] == 1.5
+    assert summary["gain_shown"] is shown
+
+
+@pytest.mark.parametrize(
+    ("better", "scale", "within"),
+    [
+        ("lower", 1.25, True),  # worse by the bound exactly
+        ("lower", 1.3, False),
+        ("lower", 0.5, True),
+        ("higher", 0.75, True),
+        ("higher", 0.7, False),
+        ("higher", 2.0, True),
+    ],
+)
+def test_within_bound_allows_the_bound_times_the_parents_median(better, scale, within):
+    summary = ten_pairs(PARENT, [scale * p for p in PARENT], better)
+    assert summary["within_bound"] is within
+
+
+def test_a_metric_without_a_bound_is_not_judged():
+    runs = [fake_run(0, "parent", 2.0, 100.0), fake_run(0, "change", 1.0, 90.0)]
+    summary = bench_record.summarise(runs, {"op_p50_ms": "lower"})["w"]["op_p50_ms"]
+    assert summary["within_bound"] is None
 
 
 def test_main_records_the_pairs_and_one_traced_run_per_side(tmp_path, monkeypatch):

@@ -423,6 +423,27 @@ class TestCsv:
             assert chroma._plain_csv_frames(fh) is None
         assert np.array_equal(load_chroma_csv(path).frames, [[10.0, 1.0] * 6])
 
+    @pytest.mark.parametrize(
+        ("lines", "want"),
+        [
+            (["C,C#,D,D#,E,F,F#,G,G#,A,A#,B"] * 2 + [ROW], "row 2: non-numeric chroma value"),
+            (["C,C#,D,D#,E,F,F#,G,G#,A,A#,B", "x" + ",1" * 11, ROW],
+             "row 2: non-numeric chroma value"),
+            (["\x1c2\x1f" + ",1" * 11, ROW], [[2.0] + [1.0] * 11, ROW.split(",")]),
+            ([ROW, "," * 11, ROW], [ROW.split(",")] * 2),
+        ],
+        ids=["two-headers", "header-then-text", "stripped-number-first", "all-blank-row"],
+    )
+    def test_only_the_first_non_blank_row_may_be_a_header(self, tmp_path, lines, want):
+        # cells are stripped before any test, and an all-blank row is a blank line
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if isinstance(want, str):
+            want = f"{path}: {want}"
+        else:
+            want = np.array(want, dtype=float)
+        assert_same_outcome(frames_or_message(path), want)
+
     def test_cells_are_stripped_as_str_strip_strips(self, tmp_path):
         # float() refuses U+001C..U+001F around a number; str.strip takes them
         # off (the quote sends the file to the csv.reader path)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from tonalspace import (
+    DEFAULT_WEIGHTS,
     ChromaError,
     DegenerateInputError,
+    Tiv,
     UnknownProfileError,
     WeightMismatchError,
     build_profile_set,
@@ -273,6 +275,19 @@ class TestEstimateKey:
         # zero-norm vector: equidistant from all 12 major (or minor) references
         with pytest.raises(DegenerateInputError, match="zero-norm"):
             estimate_key(tiv_from_chroma(np.full(12, 0.3)), temperley)
+
+    @pytest.mark.parametrize(("size", "refused"), [(1e-170, True), (1e-160, False)])
+    def test_a_norm_whose_squares_underflow_is_zero(self, temperley, size, refused):
+        # each square of 1e-170 underflows to 0.0; of 1e-160 it is a subnormal
+        t = Tiv(coeffs=np.full(6, size * (1 + 1j)), energy=1.0, weights=DEFAULT_WEIGHTS)
+        if refused:
+            with pytest.raises(DegenerateInputError, match="zero-norm"):
+                estimate_key(t, temperley)
+        else:
+            assert estimate_key(t, temperley).distances.shape == (24,)
+
+    def test_default_weights_are_shared_with_the_references(self):
+        assert build_profile_set("temperley").profile_tivs.weights is DEFAULT_WEIGHTS
 
     def test_weight_mismatch_rejected(self, temperley):
         t = tiv_from_chroma(MAJOR_TRIAD, np.arange(1.0, 7.0))

@@ -13,8 +13,12 @@ on both sides alike.  Pair i uses seed ``seeds[i % len(seeds)]``.  After the
 pairs, one ``--trace 1`` run per side and workload (seed ``seeds[0]``)
 gives the per-layer metrics that show where a change moved the time.  The
 file holds every run's final JSON line and calibration median, per workload
-and end-to-end metric each side's median and quartiles plus the number of
-pairs the change won (ties count for neither side), under ``"traced"`` each
+and end-to-end metric each side's median and quartiles, the number of
+pairs the change won (ties count for neither side), ``gain_shown`` (the
+change won at least 9 pairs in 10, and its median beats the parent's by
+more than the parent's q3 - q1) and ``within_bound`` (the change's median
+is worse than the parent's by at most the metric's ``bound`` times the
+parent's median; null for a metric without a bound), under ``"traced"`` each
 traced run's per-layer metrics and calibration median, the Python and
 numpy versions, and ``writes_bytecode``: false when ``PYTHONDONTWRITEBYTECODE``
 is set, so that a checkout without current ``.pyc`` files compiles the
@@ -72,8 +76,9 @@ def traced_runs(checkouts: dict, workloads: list[str], seed: int, seconds: int) 
     return traced
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: both sides' spread and the change's wins."""
+def summarise(runs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict:
+    """Per workload and metric: both sides' spread, the change's wins, and
+    whether they show a gain and stay within the metric's bound."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs = {}
@@ -86,10 +91,18 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
                       for side in SIDES}
             sign = 1 if direction == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            parent, change = (spread(values[side]) for side in SIDES)
+            gain = sign * (parent["median"] - change["median"])  # > 0 where the change is better
+            bound = (bounds or {}).get(metric)
             rows[metric] = {
-                **{side: spread(values[side]) for side in SIDES},
+                "parent": parent,
+                "change": change,
                 "change_wins": wins,
                 "pairs": len(pairs),
+                "gain_shown": bool(10 * wins >= 9 * len(pairs)
+                                   and gain > parent["q3"] - parent["q1"]),
+                "within_bound": None if bound is None
+                                else bool(-gain <= bound * parent["median"]),
             }
         rows["failed_ops"] = {
             side: sum(p[side]["failed"] for p in pairs.values()) for side in SIDES
@@ -108,6 +121,9 @@ def main() -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {
+        metric["name"]: metric["bound"] for metric in spec["end_to_end"] if "bound" in metric
+    }
     workloads = [workload["name"] for workload in spec["workloads"]]
     seconds = spec["run_seconds"]
 
@@ -128,7 +144,7 @@ def main() -> int:
         "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seconds": seconds,
         "seeds": args.seeds,
-        "summary": summarise(runs, better),
+        "summary": summarise(runs, better, bounds),
         "traced": traced_runs(checkouts, workloads, args.seeds[0], seconds),
         "runs": runs,
     }
