@@ -357,6 +357,8 @@ def extract_chroma_wav(
     if not fmin < fmax:
         raise ChromaError("need 0 < fmin < fmax")
     ref_a4 = _as_real(ref_a4, "reference A4 frequency", positive=True)
+    if not math.isfinite(fmax / ref_a4):
+        raise ChromaError(f"reference A4 frequency {ref_a4!r}: fmax / A4 overflows")
 
     from scipy.io import wavfile  # imported here: scipy.io is slow to import
 
@@ -366,11 +368,10 @@ def extract_chroma_wav(
         raise ChromaError(f"cannot read WAV file {path}: {exc}") from exc
     except ValueError as exc:
         raise ChromaError(f"{path}: unsupported WAV file: {exc}") from exc
+    sample_rate = _as_real(sample_rate, f"{path}: sample rate", positive=True)
     samples = _to_float_samples(np.asarray(data), path)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    if samples.ndim != 1:
-        raise ChromaError(f"{path}: expected mono or stereo audio")
     if len(samples) < window_size:
         raise ChromaError(
             f"{path}: audio ({len(samples)} samples) is shorter than one "

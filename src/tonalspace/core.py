@@ -133,6 +133,9 @@ def as_weights(weights) -> np.ndarray:
         )
     if not 0 < float(arr.min()) <= float(arr.max()) < math.inf:  # a NaN fails it
         raise ChromaError("weights must be finite and strictly positive")
+    with np.errstate(over="ignore"):  # |T(k)| <= w(k): a squared distance is at most 4 w.w
+        if not math.isfinite(4.0 * float(arr @ arr)):
+            raise ChromaError("weights are too large: 4 * sum(w**2) overflows the float range")
     return arr
 
 
@@ -142,8 +145,11 @@ def _row_blocks(n: int):
 
 
 def _require_single(what: str, *tivs) -> None:
+    """Refuse a batch among ``tivs``, then an operand whose weights differ from the first's."""
     if any(t.coeffs.ndim != 1 for t in tivs):
         raise ChromaError(f"{what} takes one interval vector, not a batch")
+    for t in tivs[1:]:
+        _require_same_weights(tivs[0], t)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -301,8 +307,6 @@ def combine(tivs) -> Tiv:
     if len(ts) < 2:
         raise DegenerateInputError("combine needs at least two operands")
     _require_single("combine", *ts)
-    for t in ts[1:]:
-        _require_same_weights(ts[0], t)
     energies = np.array([t.energy for t in ts])
     if not energies.any():
         raise DegenerateInputError("cannot combine: all operands are silent")

@@ -102,7 +102,6 @@ def cosine_similarity(t1: Tiv, t2: Tiv) -> float:
     profile), where the angle is undefined.
     """
     _require_single("cosine_similarity", t1, t2)
-    _require_same_weights(t1, t2)
     n1 = np.linalg.norm(t1.coeffs)
     n2 = np.linalg.norm(t2.coeffs)
     if n1 == 0.0 or n2 == 0.0:
@@ -156,8 +155,6 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
     else:
         ts = list(tivs)
         _require_single("harmonic_change's list", *ts)
-        for t in ts[1:]:
-            _require_same_weights(ts[0], t)
         matrix = np.array([t.coeffs for t in ts])
     n = len(matrix)
     if n < 3:
@@ -175,7 +172,8 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
     values[1:-1] = np.sqrt(np.sum(np.abs(matrix[2:] - matrix[:-2]) ** 2, axis=1))
 
     if isinstance(threshold, str) and threshold == "adaptive":  # arrays compare per item
-        floor = float(values.mean() + values.std())
+        with np.errstate(over="ignore"):  # an infinite floor picks no peak
+            floor = float(values.mean() + values.std())
     else:
         floor = _as_real(threshold, "threshold")
 

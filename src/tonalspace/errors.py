@@ -11,14 +11,21 @@ a stray numpy error or warning:
 - ChromaError: NaN, infinite or negative bins; bin sums, frame means and
   ``combine`` energy sums beyond the float range (a mix whose energy sum is
   finite is computed, however large its operands); NaN, infinite or
-  non-positive weights; a batch given to a function of one vector
+  non-positive weights, and weights for which 4 * sum(w**2) overflows
+  (|T(k)| <= w(k), so that sum bounds every squared distance between two
+  vectors; below it distances, norms and cosines are finite, and an
+  adaptive harmonic-change floor whose variance overflows is infinite, so
+  no frame is a peak); a batch given to a function of one vector
   (``estimate_key``, the cosine, ``combine``'s and ``harmonic_change``'s
   list items, ``Tiv.to_dict``); two batches of different lengths given to
   ``euclid``; and any argument that breaks the next rules.
 - Counts, indices and shifts (window and hop sizes, ``global_chroma``
   bounds, ``transpose``'s semitones) are integers.  Thresholds, rates,
   frequencies and alphas are finite reals.  Booleans and strings are
-  neither, and an integer beyond the float range is not finite.
+  neither, and an integer beyond the float range is not finite.  A WAV
+  header's sample rate is a positive number, and ``fmax / ref_a4`` must be
+  finite.  An alpha so large that alpha * T overflows makes every minor
+  distance infinite, so a major key wins (the alpha -> infinity limit).
 - Boolean and string arrays are not chroma, weights, profiles or ``Tiv``
   values (numpy reads ``"1"`` as 1.0); JSON chroma and profile files refuse
   booleans and strings as values.  CSV cells are text by nature and are

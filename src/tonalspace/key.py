@@ -113,9 +113,8 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
     leading BOM are ignored.  The arrays are read-only, so a KeyProfileSet holds them.
     """
     try:
-        with open(path, "rb") as fh:  # one read; CRLF and CR become LF as in text mode
-            text = fh.read().decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
-        data = json.loads(text)
+        with open(path, encoding="utf-8-sig") as fh:
+            data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -194,8 +193,9 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     if _sqnorm(t.coeffs) == 0.0:
         raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
     _require_same_weights(t, profiles.profile_tivs)
-    queries = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None]
-    distances = _readonly(np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs)))
+    with np.errstate(over="ignore"):  # an overflowing alpha * T makes a minor distance inf
+        queries = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None]
+        distances = _readonly(np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs)))
     index = int(distances.argmin())
     return KeyResult(
         index=index,

@@ -6,6 +6,7 @@ implementation -- so equivalence tests are meaningful.
 """
 
 import cmath
+import struct
 
 import numpy as np
 
@@ -48,3 +49,14 @@ def random_chroma(rng, allow_zero=False):
     if not allow_zero and c.sum() == 0.0:
         c[0] = 1.0
     return c
+
+
+def pcm16_wav_bytes(sample_rate, samples):
+    """A mono 16-bit PCM WAV file: the 44-byte RIFF header, written out field
+    by field so that any header rate, 0 included, can be given."""
+    data = np.asarray(samples, dtype="<i2").tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, 1, 1,
+        sample_rate, 2 * sample_rate, 2, 16, b"data", len(data),
+    )
+    return header + data

@@ -30,6 +30,8 @@ from tonalspace import (
 from tonalspace import chroma, core
 from tonalspace.chroma import chroma_csv_text, chroma_json_text
 
+from helpers import pcm16_wav_bytes
+
 
 def write_csv(path, rows, header=None):
     with open(path, "w", encoding="utf-8") as fh:
@@ -837,6 +839,32 @@ class TestWavExtraction:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ChromaError):
             extract_chroma_wav(tmp_path / "absent.wav")
+
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(pcm16_wav_bytes(0, np.zeros(8192)))
+        with pytest.raises(ChromaError, match="sample rate must be a positive finite number"):
+            extract_chroma_wav(path)
+
+    def test_reference_pitch_that_overflows_fmax_over_a4_rejected(self, tmp_path):
+        path = tmp_path / "a.wav"
+        sine_wav(path, 440.0)
+        with pytest.raises(ChromaError, match="fmax / A4 overflows"):
+            extract_chroma_wav(path, ref_a4=1e-320)
+        # a huge A4 keeps every ratio finite (and nonzero): all frames still fold
+        assert len(extract_chroma_wav(path, ref_a4=1e308)) > 0
+
+    def test_int64_samples_rejected(self, tmp_path):
+        path = tmp_path / "i64.wav"
+        wavfile.write(path, 8000, np.zeros(8192, dtype=np.int64))
+        with pytest.raises(ChromaError, match="unsupported WAV sample format int64"):
+            extract_chroma_wav(path)
+
+    def test_band_without_a_bin_rejected(self, tmp_path):
+        path = tmp_path / "a.wav"
+        sine_wav(path, 440.0, sr=8000)  # bins are 8000 / 4096 = 1.95 Hz apart
+        with pytest.raises(ChromaError, match="no spectral bins"):
+            extract_chroma_wav(path, fmin=100.1, fmax=100.2)
 
     def test_custom_reference_pitch(self, tmp_path):
         # with A4 tuned to 450 Hz, a 450 Hz sine lands on pitch class 9

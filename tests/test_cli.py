@@ -32,8 +32,11 @@ from tonalspace import (
 from tonalspace import cli, core
 from tonalspace.cli import ANALYZE_COLUMNS, main
 
-from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma
+from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma, pcm16_wav_bytes
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+HUGE = ",".join(["1e308"] * 6)  # 4 * sum(w**2) overflows: refused
+NEAR = ",".join(["2.7e153"] * 6)  # just under that bound: accepted
 TEMPERLEY_MAJOR = [5.0, 2.0, 3.5, 2.0, 4.5, 4.0, 2.0, 4.5, 2.0, 3.5, 1.5, 4.0]
 
 
@@ -672,6 +675,56 @@ class TestExtractChroma:
 
     def test_missing_wav_exit_1(self, tmp_path, capsys):
         assert main(["extract-chroma", str(tmp_path / "absent.wav")]) == 1
+
+
+# One row per edge of the degenerate-input policy (see ``errors.py``): each
+# run exits with its code, writes nothing or one error line to stderr, and
+# (under the suite's filterwarnings = error) lets no numpy warning escape.
+EDGE_ROWS = [
+    ("extract-chroma {tone} --a4 1e-320", 1),
+    ("extract-chroma {tone} --a4 1e308", 0),
+    ("extract-chroma {tone} --fmin 1e-320", 0),
+    ("extract-chroma {tone} --window-size 0", 1),
+    ("extract-chroma {tone} --hop-size 0", 1),
+    ("analyze {song} --weights " + HUGE, 2),
+    ("analyze {song} --weights " + NEAR, 0),
+    ("analyze {song} --out-format json --weights " + NEAR, 0),
+    ("analyze {song} --alpha 1e-320", 0),
+    ("analyze {song} --threshold 1e400", 2),
+    ("analyze {song} --window-avg 0", 2),
+    ("analyze {song} --window-avg 1000000000000", 0),
+    ("key {song} --alpha 1e308", 0),
+    ("distance {song} {clip} --metric cosine --weights " + NEAR, 0),
+    ("combine {song} {clip} --weights " + HUGE, 2),
+    ("analyze {rate0}", 1),
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("command, code", EDGE_ROWS, ids=[row[0] for row in EDGE_ROWS])
+def test_edge_inputs_follow_the_policy(tmp_path, capsys, command, code):
+    rate0 = tmp_path / "rate0.wav"
+    rate0.write_bytes(pcm16_wav_bytes(0, np.zeros(8192)))
+    files = {"song": GOLDEN / "song.csv", "clip": GOLDEN / "clip.json", "tone": GOLDEN / "tone.wav"}
+    argv = [part.format(rate0=rate0, **files) for part in command.split()]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("tonalspace: error: ") and err.count("\n") == 1, err
+    if "--out-format json" in command:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("command", ["analyze", "combine"])
+@pytest.mark.parametrize("weights", [HUGE, "1,2,3,4,5,-6"])
+def test_refused_weights_exit_2_naming_the_option(synthetic_csv, capsys, command, weights):
+    assert main([command, str(synthetic_csv), "--weights", weights]) == 2
+    assert capsys.readouterr().err.startswith("tonalspace: error: --weights: weights ")
 
 
 class TestTopLevel:

@@ -91,6 +91,7 @@ class TestValidation:
             ["1"] * 6,
             {"a": 1},
             [[1.0] * 6, [1.0] * 5],
+            [1e154] * 6,  # 4 * sum(w**2), the largest squared distance, overflows
         ],
     )
     def test_as_weights_rejects_invalid(self, bad):
@@ -228,6 +229,24 @@ class TestTivConstruction:
         assert np.all(np.isfinite(t.coeffs.real))
         assert np.all(np.isfinite(t.coeffs.imag))
         assert np.isfinite(t.energy)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Tiv(np.ones(5), 1.0, DEFAULT_WEIGHTS), "shape", id="coeffs-5"),
+        pytest.param(
+            lambda: Tiv(np.ones((2, 6)), 1.0, DEFAULT_WEIGHTS), "one value per", id="energy-1"
+        ),
+        pytest.param(
+            lambda: Tiv.from_dict({**ONE_HOT_DICT, "coeffs": ONE_HOT_DICT["coeffs"][:5]}),
+            "coeffs of shape", id="dict-5-pairs",
+        ),
+    ],
+)
+def test_malformed_vectors_are_refused(call, message):
+    with pytest.raises(ChromaError, match=message):
+        call()
 
 
 class TestTivSerialization:

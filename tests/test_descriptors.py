@@ -277,6 +277,20 @@ class TestDistances:
         assert by_lib == by_hand
 
 
+def test_weights_just_under_the_overflow_bound_give_finite_answers():
+    """|T(k)| <= w(k) keeps every squared distance below 4 * sum(w**2), which
+    these weights keep finite; only the adaptive floor's variance overflows."""
+    w = [2.7e153] * 6
+    a, b = tiv_from_chroma(binary_chroma([0]), w), tiv_from_chroma(binary_chroma([6]), w)
+    assert euclid(a, b) == pytest.approx(2 * np.sqrt(3) * 2.7e153, rel=1e-12)
+    assert cosine_similarity(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert dissonance(a) == pytest.approx(0.0, abs=1e-12)
+    frames = np.array([binary_chroma([0])] * 3 + [binary_chroma([6])] * 3)
+    series = harmonic_change(tiv_from_chroma(np.tile(frames, (20, 1)), w))
+    assert np.isfinite(series.values).all()
+    assert series.threshold == np.inf and len(series.peaks) == 0
+
+
 class TestHarmonicChange:
     def test_constant_sequence_is_flat(self):
         tivs = [tiv_from_chroma(MAJOR_TRIAD)] * 7

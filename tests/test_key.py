@@ -286,6 +286,13 @@ class TestEstimateKey:
         else:
             assert estimate_key(t, temperley).distances.shape == (24,)
 
+    def test_an_alpha_whose_query_overflows_leaves_a_major_key(self):
+        # alpha * T overflows: every minor distance is infinite (the alpha -> inf limit)
+        result = estimate_key(tiv_from_chroma(MAJOR_TRIAD), build_profile_set("temperley", 1e308))
+        assert result.index < 12
+        assert np.isfinite(result.distances[:12]).all()
+        assert np.isinf(result.distances[12:]).all()
+
     def test_default_weights_are_shared_with_the_references(self):
         assert build_profile_set("temperley").profile_tivs.weights is DEFAULT_WEIGHTS
 
