@@ -327,6 +327,8 @@ def _to_float_samples(data: np.ndarray, path) -> np.ndarray:
     if data.dtype in (np.int16, np.int32):  # int32 also covers 24-bit PCM
         return np.multiply(data, 2.0 ** (1 - 8 * data.itemsize))
     if data.dtype in (np.float32, np.float64):
+        if not np.isfinite(data).all():
+            raise ChromaError(f"{path}: WAV samples must be finite (no NaN or infinity)")
         return data.astype(np.float64)
     raise ChromaError(f"{path}: unsupported WAV sample format {data.dtype}")
 
@@ -395,8 +397,11 @@ def extract_chroma_wav(
     # F-ordered: from a C-ordered buffer BLAS sums in another order (last bits)
     power = np.empty((hi - lo, len(segments))).T
     block = max(1, 2**17 // window_size)  # frames per FFT, ~1 MB of samples
-    for i in range(0, len(segments), block):
-        spectrum = np.fft.rfft(segments[i : i + block] * window, axis=1)
-        power[i : i + block] = np.abs(spectrum[:, lo:hi]) ** 2
-    frames = _readonly(power @ fold)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused below
+        for i in range(0, len(segments), block):
+            spectrum = np.fft.rfft(segments[i : i + block] * window, axis=1)
+            power[i : i + block] = np.abs(spectrum[:, lo:hi]) ** 2
+        frames = _readonly(power @ fold)
+    if not np.isfinite(frames).all():
+        raise ChromaError(f"{path}: the spectral power overflows the float range")
     return ChromaSequence(frames, frame_rate=sample_rate / hop_size, source=str(path))

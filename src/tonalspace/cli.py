@@ -187,8 +187,6 @@ def cmd_analyze(args) -> int:
     del tivs  # freed before the report, which needs only the columns
 
     g_tiv = tiv_from_chroma(global_chroma(seq), weights)
-    g_values = [*qualities(g_tiv)[[0, 4, 5]].tolist(), dissonance(g_tiv)]
-    g_qualities = dict(zip(ANALYZE_COLUMNS[2:6], g_values))
     try:
         key_json = estimate_key(g_tiv, profiles).to_dict()
     except DegenerateInputError:  # silence or uniform chroma: no key
@@ -198,36 +196,37 @@ def cmd_analyze(args) -> int:
     no_time = "null" if args.out_format == "json" else ""  # each time at an unknown rate
     times = np.full(n, no_time, dtype=object) if rate is None else np.arange(n) / rate
     columns = [np.arange(n), times, *columns]
-    metadata = {
-        "command": "analyze",
-        "input": args.input,
-        "input_format": fmt,
-        "frames": n,
-        "frame_rate": rate,
-        "window_avg": args.window_avg,
-        "weights": [float(w) for w in weights],
-        "profile": profiles.name,
-        "alpha": profiles.alpha,
-        "threshold": threshold,
-        "hchange_coeffs": args.hchange_coeffs,
+    head = {
+        "metadata": {
+            "command": "analyze",
+            "input": args.input,
+            "input_format": fmt,
+            "frames": n,
+            "frame_rate": rate,
+            "window_avg": args.window_avg,
+            "weights": [float(w) for w in weights],
+            "profile": profiles.name,
+            "alpha": profiles.alpha,
+            "threshold": threshold,
+            "hchange_coeffs": args.hchange_coeffs,
+        },
+        "global": {
+            "tiv": g_tiv.to_dict(),
+            **dict(zip(ANALYZE_COLUMNS[2:5], qualities(g_tiv)[[0, 4, 5]].tolist())),
+            "dissonance": dissonance(g_tiv),
+            "key": key_json,
+        },
     }
-
     if args.out_format == "json":
-        head = {
-            "metadata": metadata,
-            "global": {"tiv": g_tiv.to_dict(), **g_qualities, "key": key_json},
-        }
         _write_text(_json_report(head, peaks, n, columns), args.out)
         return 0
 
-    head = [f"# {key}: {json.dumps(value)}" for key, value in metadata.items()]
-    head.append(f"# global-tiv: {json.dumps(g_tiv.to_dict())}")
-    head += [f"# global-{kind}: {value!r}" for kind, value in g_qualities.items()]
-    head.append(f"# key: {json.dumps(key_json)}")
-    head.append(f"# hchange-peaks: {json.dumps(peaks)}")
-    head.append(",".join(ANALYZE_COLUMNS))
+    # the CSV head: "# <name>: <JSON value>" per head field, global-<name> for all but the key
+    global_fields = {k if k == "key" else f"global-{k}": v for k, v in head["global"].items()}
+    fields = {**head["metadata"], **global_fields, "hchange-peaks": peaks}
+    text = "".join(f"# {name}: {json.dumps(value)}\n" for name, value in fields.items())
     rows = map("".join, _rows(_FRAME_CSV, n, columns))
-    _write_text(itertools.chain(["\n".join(head) + "\n"], rows), args.out)
+    _write_text(itertools.chain([text + ",".join(ANALYZE_COLUMNS) + "\n"], rows), args.out)
     return 0
 
 

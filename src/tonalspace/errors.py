@@ -24,8 +24,10 @@ a stray numpy error or warning:
   frequencies and alphas are finite reals.  Booleans and strings are
   neither, and an integer beyond the float range is not finite.  A WAV
   header's sample rate is a positive number, and ``fmax / ref_a4`` must be
-  finite.  An alpha so large that alpha * T overflows makes every minor
-  distance infinite, so a major key wins (the alpha -> infinity limit).
+  finite.  Float WAV samples are finite, and a spectrum whose power
+  overflows the float range is refused; both errors name the file.  An
+  alpha so large that alpha * T overflows makes every minor distance
+  infinite, so a major key wins (the alpha -> infinity limit).
 - Boolean and string arrays are not chroma, weights, profiles or ``Tiv``
   values (numpy reads ``"1"`` as 1.0); JSON chroma and profile files refuse
   booleans and strings as values.  CSV cells are text by nature and are

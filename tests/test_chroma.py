@@ -860,6 +860,21 @@ class TestWavExtraction:
         with pytest.raises(ChromaError, match="unsupported WAV sample format int64"):
             extract_chroma_wav(path)
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            pytest.param(np.where(np.arange(8192) == 9, np.inf, 0.0), "must be finite", id="inf"),
+            pytest.param(np.where(np.arange(8192) == 9, np.nan, 0.0), "must be finite", id="nan"),
+            pytest.param(np.full(8192, 1e200), "spectral power overflows", id="power-overflow"),
+        ],
+    )
+    def test_non_finite_float_samples_rejected_naming_the_file(self, tmp_path, samples, message):
+        path = tmp_path / "float.wav"
+        wavfile.write(path, 22050, samples)
+        with pytest.raises(ChromaError, match=message) as info:
+            extract_chroma_wav(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_band_without_a_bin_rejected(self, tmp_path):
         path = tmp_path / "a.wav"
         sine_wav(path, 440.0, sr=8000)  # bins are 8000 / 4096 = 1.95 Hz apart

@@ -697,6 +697,14 @@ EDGE_ROWS = [
     ("distance {song} {clip} --metric cosine --weights " + NEAR, 0),
     ("combine {song} {clip} --weights " + HUGE, 2),
     ("analyze {rate0}", 1),
+    ("extract-chroma {inf}", 1),
+    ("extract-chroma {nan}", 1),
+    ("extract-chroma {e200}", 1),
+    ("extract-chroma {f32max}", 0),
+    ("analyze {inf}", 1),
+    ("analyze {nan}", 1),
+    ("analyze {e200}", 1),
+    ("analyze {f32max}", 0),
 ]
 
 
@@ -709,6 +717,12 @@ def test_edge_inputs_follow_the_policy(tmp_path, capsys, command, code):
     rate0 = tmp_path / "rate0.wav"
     rate0.write_bytes(pcm16_wav_bytes(0, np.zeros(8192)))
     files = {"song": GOLDEN / "song.csv", "clip": GOLDEN / "clip.json", "tone": GOLDEN / "tone.wav"}
+    one = np.arange(8192) == 100
+    floats = {"inf": np.where(one, np.inf, 0.0), "nan": np.where(one, np.nan, 0.0),
+              "e200": np.full(8192, 1e200), "f32max": np.full(8192, 3e38, dtype=np.float32)}
+    for name, samples in floats.items():
+        files[name] = tmp_path / f"{name}.wav"
+        wavfile.write(files[name], 22050, samples)
     argv = [part.format(rate0=rate0, **files) for part in command.split()]
     assert main(argv) == code
     out, err = capsys.readouterr()
@@ -725,6 +739,36 @@ def test_edge_inputs_follow_the_policy(tmp_path, capsys, command, code):
 def test_refused_weights_exit_2_naming_the_option(synthetic_csv, capsys, command, weights):
     assert main([command, str(synthetic_csv), "--weights", weights]) == 2
     assert capsys.readouterr().err.startswith("tonalspace: error: --weights: weights ")
+
+
+SONG = str(GOLDEN / "song.csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [str(GOLDEN.parent / "fixture.csv")],
+        [str(GOLDEN / "clip.json")],
+        [str(GOLDEN / "tone.wav")],
+        [SONG],
+        [SONG, "--hchange-coeffs", "harte"],
+        [SONG, "--threshold", "0.5"],
+        [SONG, "--weights", "1,2,3,4,5,6", "--profile", "shaath"],
+    ],
+    ids=["fixture", "clip", "tone", "song", "song-harte", "song-threshold", "song-shaath"],
+)
+def test_csv_head_lines_are_the_json_head(capsys, argv):
+    """The CSV report's "#" lines are the JSON report's metadata, global and
+    peaks fields, in that order, each value as JSON."""
+    assert main(["analyze", *argv, "--out-format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["analyze", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = list(report["metadata"].items())
+    fields += [(k if k == "key" else f"global-{k}", v) for k, v in report["global"].items()]
+    fields.append(("hchange-peaks", report["hchange"]["peaks"]))
+    assert lines[: len(fields)] == [f"# {name}: {json.dumps(value)}" for name, value in fields]
+    assert lines[len(fields)] == ",".join(ANALYZE_COLUMNS)
 
 
 class TestTopLevel:
