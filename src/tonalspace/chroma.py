@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -167,12 +168,12 @@ def load_chroma_csv(path) -> ChromaSequence:
     return ChromaSequence(frames, source=str(path))
 
 
-def _rows(template: str, n: int, columns):
-    """The ``n`` rows of ``columns`` as ``template % row`` texts, one iterator
-    per block of rows.  ``%s`` of an int or a finite float is its ``repr``
-    (frame times are finite, see ``ChromaSequence``), which is also its JSON
-    form; an object column holds text that is written as it is."""
-    for rows in _row_blocks(n):
+def _rows(template: str, columns):
+    """The rows of ``columns`` (of one length) as ``template % row`` texts, one
+    iterator per block of rows.  ``%s`` of an int or a finite float is its
+    ``repr`` (frame times are finite, see ``ChromaSequence``), which is also its
+    JSON form; an object column holds text that is written as it is."""
+    for rows in _row_blocks(len(columns[0])):
         yield map(template.__mod__, zip(*(column[rows].tolist() for column in columns)))
 
 
@@ -204,11 +205,11 @@ _ROW_CSV = ",".join(["%s"] * N_BINS) + "\n"
 
 def chroma_csv_text(seq: ChromaSequence):
     """Chroma frames as headerless CSV text, full ``repr`` precision, in pieces."""
-    return map("".join, _rows(_ROW_CSV, len(seq), list(seq.frames.T)))
+    return map("".join, _rows(_ROW_CSV, seq.frames.T))
 
 
 def save_chroma_csv(seq: ChromaSequence, path) -> None:
-    """Write ``chroma_csv_text(seq)`` to ``path``."""
+    """Write ``chroma_csv_text(seq)`` to ``path``, or to stdout when ``path`` is None."""
     _write_text(chroma_csv_text(seq), path)
 
 
@@ -264,12 +265,12 @@ def chroma_json_text(seq: ChromaSequence):
     ``json.dumps(..., indent=2)``, in pieces."""
     head = "" if seq.frame_rate is None else f'  "frame_rate": {seq.frame_rate!r},\n'
     yield "{\n" + head + '  "frames": '
-    yield from _json_list(_rows(_ROW_JSON, len(seq), list(seq.frames.T)), 2)
+    yield from _json_list(_rows(_ROW_JSON, seq.frames.T), 2)
     yield "\n}\n"
 
 
 def save_chroma_json(seq: ChromaSequence, path) -> None:
-    """Write ``chroma_json_text(seq)`` to ``path``."""
+    """Write ``chroma_json_text(seq)`` to ``path``, or to stdout when ``path`` is None."""
     _write_text(chroma_json_text(seq), path)
 
 
@@ -348,7 +349,9 @@ def extract_chroma_wav(
     hop and ``frame_rate = sample_rate / hop_size``.  Stereo channels are
     averaged before analysis.  ``window_size`` must be a power of two.
     The STFT runs in blocks of about 1 MB of samples, so working memory
-    beyond the samples is one frames x band-bins power buffer.
+    beyond the samples is one frames x band-bins power buffer.  scipy's
+    format warnings (an unknown chunk, a short read) are ignored during the read
+    by ``warnings.catch_warnings``, which acts process-wide, not per thread.
     """
     window_size = _as_int(window_size, "window_size", minimum=2)
     if window_size & (window_size - 1):
@@ -365,7 +368,9 @@ def extract_chroma_wav(
     from scipy.io import wavfile  # imported here: scipy.io is slow to import
 
     try:
-        sample_rate, data = wavfile.read(path)
+        with warnings.catch_warnings():  # scipy warns only of a file it can still read
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)
+            sample_rate, data = wavfile.read(path)
     except OSError as exc:
         raise ChromaError(f"cannot read WAV file {path}: {exc}") from exc
     except ValueError as exc:
@@ -373,7 +378,8 @@ def extract_chroma_wav(
     sample_rate = _as_real(sample_rate, f"{path}: sample rate", positive=True)
     samples = _to_float_samples(np.asarray(data), path)
     if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+        with np.errstate(over="ignore"):  # an infinite mean makes the frames non-finite: refused
+            samples = samples.mean(axis=1)
     if len(samples) < window_size:
         raise ChromaError(
             f"{path}: audio ({len(samples)} samples) is shorter than one "

@@ -38,12 +38,12 @@ from .chroma import (
     _json_list,
     _rows,
     _write_text,
-    chroma_csv_text,
-    chroma_json_text,
     extract_chroma_wav,
     global_chroma,
     load_chroma_csv,
     load_chroma_json,
+    save_chroma_csv,
+    save_chroma_json,
     window_average,
 )
 from .core import DEFAULT_WEIGHTS, _as_real, as_weights, combine, tiv_from_chroma
@@ -145,7 +145,7 @@ _FRAME_JSON = "{" + ",".join(f'\n      "{c}": %s' for c in ANALYZE_COLUMNS) + "\
 _FRAME_CSV = ",".join(["%s"] * len(ANALYZE_COLUMNS)) + "\n"
 
 
-def _json_report(head: dict, peaks: list, n: int, columns):
+def _json_report(head: dict, peaks: list, columns):
     """``json.dumps(report, indent=2) + "\\n"`` of the analyze report in
     pieces, from its ``head`` (metadata, global), the peaks and the
     ANALYZE_COLUMNS columns; only the small head goes through the slow
@@ -153,9 +153,9 @@ def _json_report(head: dict, peaks: list, n: int, columns):
     # lambda is written twice, so its text is kept rather than encoded twice
     lam = np.array(list(map(repr, columns[-1].tolist())), dtype=object)
     yield json.dumps(head, indent=2)[:-2] + ',\n  "hchange": {\n    "lambda": '
-    yield from _json_list(_rows("%s", n, [lam]), 4)
+    yield from _json_list(_rows("%s", [lam]), 4)
     yield f',\n    "peaks": {"".join(_json_list([map(repr, peaks)], 4))}\n  }},\n  "frames": '
-    yield from _json_list(_rows(_FRAME_JSON, n, [*columns[:-1], lam]), 2)
+    yield from _json_list(_rows(_FRAME_JSON, [*columns[:-1], lam]), 2)
     yield "\n}\n"
 
 
@@ -218,14 +218,14 @@ def cmd_analyze(args) -> int:
         },
     }
     if args.out_format == "json":
-        _write_text(_json_report(head, peaks, n, columns), args.out)
+        _write_text(_json_report(head, peaks, columns), args.out)
         return 0
 
     # the CSV head: "# <name>: <JSON value>" per head field, global-<name> for all but the key
     global_fields = {k if k == "key" else f"global-{k}": v for k, v in head["global"].items()}
     fields = {**head["metadata"], **global_fields, "hchange-peaks": peaks}
     text = "".join(f"# {name}: {json.dumps(value)}\n" for name, value in fields.items())
-    rows = map("".join, _rows(_FRAME_CSV, n, columns))
+    rows = map("".join, _rows(_FRAME_CSV, columns))
     _write_text(itertools.chain([text + ",".join(ANALYZE_COLUMNS) + "\n"], rows), args.out)
     return 0
 
@@ -278,8 +278,7 @@ def cmd_extract_chroma(args) -> int:
         fmax=args.fmax,
         ref_a4=args.a4,
     )
-    render = chroma_csv_text if args.out_format == "csv" else chroma_json_text
-    _write_text(render(seq), args.out)
+    (save_chroma_csv if args.out_format == "csv" else save_chroma_json)(seq, args.out)
     return 0
 
 
@@ -368,7 +367,3 @@ def main(argv=None) -> int:
         return args.func(args)
     except _ERRORS as exc:
         return _report(exc)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

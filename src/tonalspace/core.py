@@ -49,6 +49,9 @@ DEFAULT_WEIGHTS.flags.writeable = False
 # Coefficient magnitudes below this carry no usable phase information.
 PHASE_EPS = 1e-10
 
+# A Tiv holds |T(k)| <= w(k) * _SLACK: rounding takes built vectors up to 2 ulp past w(k).
+_SLACK = 1 + 2**-40
+
 # Rows per block of every blocked loop: the FFT in tiv_from_chroma (~400 kB
 # of frames) and every text writer.
 _BLOCK_ROWS = 4096
@@ -110,9 +113,7 @@ def _as_int(value, what: str, minimum: int | None = None) -> int:
 def _as_bins(bins, ndims) -> np.ndarray:
     arr = _as_floats(bins, "chroma bins")
     if arr.ndim not in ndims or arr.shape[-1] != N_BINS:
-        raise ChromaError(
-            f"chroma must have exactly {N_BINS} bins, got shape {arr.shape}"
-        )
+        raise ChromaError(f"chroma must have exactly {N_BINS} bins, got shape {arr.shape}")
     # one min/max pair finds NaN (it propagates into both), infinities and negatives
     lo, hi = float(arr.min(initial=math.inf)), float(arr.max(initial=-math.inf))
     if not (-math.inf < lo and hi < math.inf):
@@ -128,13 +129,11 @@ def as_weights(weights) -> np.ndarray:
         return weights
     arr = _as_floats(weights, "weights")
     if arr.shape != (N_COEFFS,):
-        raise ChromaError(
-            f"weights must have exactly {N_COEFFS} entries, got shape {arr.shape}"
-        )
+        raise ChromaError(f"weights must have exactly {N_COEFFS} entries, got shape {arr.shape}")
     if not 0 < float(arr.min()) <= float(arr.max()) < math.inf:  # a NaN fails it
         raise ChromaError("weights must be finite and strictly positive")
-    with np.errstate(over="ignore"):  # |T(k)| <= w(k): a squared distance is at most 4 w.w
-        if not math.isfinite(4.0 * float(arr @ arr)):
+    with np.errstate(over="ignore"):  # a squared distance is at most 4 w.w * _SLACK**2
+        if not math.isfinite(4.0 * _SLACK**2 * float(arr @ arr)):
             raise ChromaError("weights are too large: 4 * sum(w**2) overflows the float range")
     return arr
 
@@ -170,8 +169,8 @@ class Tiv:
 
     ``coeffs[..., k-1]`` is the weighted DFT coefficient for k = 1..6;
     ``energy`` is the sum of the source chroma bins.  ``energy == 0`` marks
-    silence, in which case all coefficients are exactly zero.  Shapes: see
-    the module docstring.
+    silence, in which case all coefficients are exactly zero.  Each |T(k)|
+    is at most w(k), up to rounding.  Shapes: see the module docstring.
     """
 
     coeffs: np.ndarray
@@ -185,15 +184,14 @@ class Tiv:
             raise ChromaError(f"coeffs must have shape (6,) or (N, 6), got {coeffs.shape}")
         if energy.shape != coeffs.shape[:-1]:
             raise ChromaError("energy must hold one value per vector")
-        if not np.isfinite(coeffs).all():
-            raise ChromaError("coeffs must be finite")
         if not 0 <= float(energy.min(initial=0.0)) <= float(energy.max(initial=0.0)) < math.inf:
             raise ChromaError("energy must be finite and nonnegative")
+        w = _frozen(as_weights(self.weights))
+        if not (np.abs(coeffs) <= w * _SLACK).all():  # a NaN fails it
+            raise ChromaError("coeffs must be finite, each |T(k)| at most its weight w(k)")
         object.__setattr__(self, "coeffs", _frozen(coeffs))
-        object.__setattr__(
-            self, "energy", float(energy) if energy.ndim == 0 else _frozen(energy)
-        )
-        object.__setattr__(self, "weights", _frozen(as_weights(self.weights)))
+        object.__setattr__(self, "energy", float(energy) if energy.ndim == 0 else _frozen(energy))
+        object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         if self.coeffs.ndim == 1:
@@ -285,8 +283,7 @@ def mag(t: Tiv) -> np.ndarray:
 def phases(t: Tiv) -> PhaseVector:
     """Coefficient phases; entries with magnitude below ``PHASE_EPS`` are
     flagged invalid."""
-    magnitude = np.abs(t.coeffs)
-    valid = magnitude >= PHASE_EPS
+    valid = mag(t) >= PHASE_EPS
     values = np.where(valid, np.angle(t.coeffs), 0.0)
     return PhaseVector(values=_readonly(values), valid=_readonly(valid))
 

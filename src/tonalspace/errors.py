@@ -12,7 +12,8 @@ a stray numpy error or warning:
   ``combine`` energy sums beyond the float range (a mix whose energy sum is
   finite is computed, however large its operands); NaN, infinite or
   non-positive weights, and weights for which 4 * sum(w**2) overflows
-  (|T(k)| <= w(k), so that sum bounds every squared distance between two
+  (every ``Tiv`` holds |T(k)| <= w(k), up to rounding, and refuses other
+  coefficients, so that sum bounds every squared distance between two
   vectors; below it distances, norms and cosines are finite, and an
   adaptive harmonic-change floor whose variance overflows is infinite, so
   no frame is a peak); a batch given to a function of one vector
@@ -24,8 +25,9 @@ a stray numpy error or warning:
   frequencies and alphas are finite reals.  Booleans and strings are
   neither, and an integer beyond the float range is not finite.  A WAV
   header's sample rate is a positive number, and ``fmax / ref_a4`` must be
-  finite.  Float WAV samples are finite, and a spectrum whose power
-  overflows the float range is refused; both errors name the file.  An
+  finite.  Float WAV samples are finite, and a channel mean or spectral
+  power that overflows the float range is refused; both errors name the
+  file.  A WAV that scipy reads with a format warning is read without it.  An
   alpha so large that alpha * T overflows makes every minor distance
   infinite, so a major key wins (the alpha -> infinity limit).
 - Boolean and string arrays are not chroma, weights, profiles or ``Tiv``

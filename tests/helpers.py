@@ -51,12 +51,14 @@ def random_chroma(rng, allow_zero=False):
     return c
 
 
-def pcm16_wav_bytes(sample_rate, samples):
-    """A mono 16-bit PCM WAV file: the 44-byte RIFF header, written out field
-    by field so that any header rate, 0 included, can be given."""
-    data = np.asarray(samples, dtype="<i2").tobytes()
+def pcm16_wav_bytes(sample_rate, samples, width=2):
+    """A mono PCM WAV file, 16-bit unless ``width`` gives another sample size
+    in bytes (3 for 24-bit): the 44-byte RIFF header, written out field by
+    field so that any header rate, 0 included, can be given."""
+    # the low ``width`` bytes of each sample as a little-endian int32
+    data = np.asarray(samples, dtype="<i4").view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, 1, 1,
-        sample_rate, 2 * sample_rate, 2, 16, b"data", len(data),
+        sample_rate, width * sample_rate, width, 8 * width, b"data", len(data),
     )
     return header + data

@@ -94,6 +94,11 @@ def test_main_records_the_pairs_and_one_traced_run_per_side(tmp_path, monkeypatc
     checkouts = {side: tmp_path / side for side in bench_record.SIDES}
     for path in checkouts.values():
         path.mkdir()
+    for side, lines in (("parent", 3), ("change", 2)):  # two modules per side
+        package = checkouts[side] / "src" / "tonalspace"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n" * lines)
+        (package / "b.py").write_text("y = 2\n")
     spec = {
         "workloads": [{"name": "w"}],
         "run_seconds": 3,
@@ -126,6 +131,7 @@ def test_main_records_the_pairs_and_one_traced_run_per_side(tmp_path, monkeypatc
     assert bench_record.main() == 0
     record = json.loads(out.read_text())
     assert record["writes_bytecode"] is True
+    assert record["src_lines"] == {"parent": 4, "change": 3}
     assert record["summary"]["w"]["op_p50_ms"]["change_wins"] == bench_record.PAIRS
     # the ten alternating untraced pairs first, then one traced run per side
     assert commands[-2:] == [("parent", "1"), ("change", "1")]

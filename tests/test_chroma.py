@@ -604,7 +604,7 @@ class TestJson:
 
     def test_boolean_words_outside_the_frames(self, tmp_path):
         path = tmp_path / "c.json"
-        frames = [[0.25, 1, 2**60] + [0.0] * 9]
+        frames = [[0.25, 1, 2**60, 2**70] + [0.0] * 8]
         path.write_text(json.dumps({"source": "true", "frames": frames}))
         got = load_chroma_json(path).frames
         assert got.tolist() == [[float(v) for v in frames[0]]]
@@ -781,6 +781,16 @@ class TestWavExtraction:
         seq = extract_chroma_wav(path)
         assert len(seq) > 0
         assert np.array_equal(seq.frames, np.zeros_like(seq.frames))
+
+    def test_24_bit_pcm_reads_as_left_justified_int32(self, tmp_path):
+        t = np.arange(22050) / 22050
+        x = np.round(2**22 * np.sin(2 * np.pi * 440 * t)).astype(np.int32)
+        pcm24, int32 = tmp_path / "pcm24.wav", tmp_path / "int32.wav"
+        pcm24.write_bytes(pcm16_wav_bytes(22050, x, width=3))
+        wavfile.write(int32, 22050, x << 8)
+        got, want = extract_chroma_wav(pcm24), extract_chroma_wav(int32)
+        assert len(got) == 18
+        assert np.array_equal(got.frames, want.frames)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.float32, np.float64])
     def test_sample_formats(self, tmp_path, dtype):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -705,6 +706,11 @@ EDGE_ROWS = [
     ("analyze {nan}", 1),
     ("analyze {e200}", 1),
     ("analyze {f32max}", 0),
+    ("extract-chroma {bext}", 0),
+    ("extract-chroma {short}", 0),
+    ("analyze {bext}", 0),
+    ("extract-chroma {stereo}", 1),
+    ("analyze {stereo}", 1),
 ]
 
 
@@ -723,6 +729,16 @@ def test_edge_inputs_follow_the_policy(tmp_path, capsys, command, code):
     for name, samples in floats.items():
         files[name] = tmp_path / f"{name}.wav"
         wavfile.write(files[name], 22050, samples)
+    files["stereo"] = tmp_path / "stereo.wav"  # a float64 channel mean that overflows
+    wavfile.write(files["stereo"], 22050, np.full((8192, 2), 1.7e308))
+    # scipy warns of an unknown chunk before the data, and of a data chunk cut short
+    tone = pcm16_wav_bytes(22050, 8000 * np.sin(np.arange(8192) / 8))
+    chunk = b"bext" + struct.pack("<I", 4) + bytes(4)
+    riff = struct.pack("<I", len(tone) + len(chunk) - 8)
+    wavs = {"bext": tone[:4] + riff + tone[8:36] + chunk + tone[36:], "short": tone[:-1001]}
+    for name, data in wavs.items():
+        files[name] = tmp_path / f"{name}.wav"
+        files[name].write_bytes(data)
     argv = [part.format(rate0=rate0, **files) for part in command.split()]
     assert main(argv) == code
     out, err = capsys.readouterr()

@@ -217,6 +217,29 @@ class TestTivConstruction:
         with pytest.raises(ChromaError, match="energy"):
             tiv_from_chroma(chroma)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda: Tiv(np.full(6, 1e200 + 1e200j), 1.0, DEFAULT_WEIGHTS), id="array"
+            ),
+            pytest.param(
+                lambda: Tiv.from_dict({"coeffs": [[1e200, 0]] * 6, "energy": 1.0}), id="dict"
+            ),
+        ],
+    )
+    def test_coeffs_beyond_the_weights_are_refused(self, build):
+        # |T(k)| <= w(k) is what keeps distances and key estimates finite
+        with pytest.raises(ChromaError, match="weight"):
+            build()
+
+    @pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, [1e-300] * 6], ids=["default", "tiny"])
+    def test_every_transposed_one_hot_is_within_the_weights(self, weights):
+        for pc in range(12):
+            t = tiv_from_chroma(binary_chroma([pc]), weights)
+            for p in range(12):
+                assert transpose(t, p).energy == 1.0  # built: rounding stays within the bound
+
     def test_coeffs_are_immutable(self):
         t = tiv_from_chroma(binary_chroma([0]))
         with pytest.raises((ValueError, RuntimeError)):

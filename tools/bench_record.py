@@ -20,9 +20,10 @@ more than the parent's q3 - q1) and ``within_bound`` (the change's median
 is worse than the parent's by at most the metric's ``bound`` times the
 parent's median; null for a metric without a bound), under ``"traced"`` each
 traced run's per-layer metrics and calibration median, the Python and
-numpy versions, and ``writes_bytecode``: false when ``PYTHONDONTWRITEBYTECODE``
+numpy versions, ``writes_bytecode``: false when ``PYTHONDONTWRITEBYTECODE``
 is set, so that a checkout without current ``.pyc`` files compiles the
-package again in every run's ``setup_s``.
+package again in every run's ``setup_s``, and ``src_lines``: each side's
+total lines of ``src/tonalspace/*.py``, the line budget ``wc -l`` reports.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int 
         "final": json.loads(out.splitlines()[-1]),
         "calibration_median_s": float(CALIBRATION.search(out).group(1)),
     }
+
+
+def src_lines(checkout: Path) -> int:
+    """The total line count of the checkout's ``src/tonalspace/*.py``, as ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/tonalspace/*.py"))
 
 
 def spread(values: list[float]) -> dict:
@@ -142,6 +148,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "seconds": seconds,
         "seeds": args.seeds,
         "summary": summarise(runs, better, bounds),
