@@ -151,7 +151,9 @@ def load_chroma_csv(path) -> ChromaSequence:
                     except ChromaError:
                         frames = None  # freed: the row loop below names the bad row
                 text_fh.seek(0)
-                text_fh.read()  # decoded whole once, so a bad byte is named by its offset
+                # decoded whole once, so a bad byte is named by its offset, and dropped: parsing
+                # it from memory (io.StringIO, 4 bytes a character) about doubles the peak
+                text_fh.read()
                 text_fh.seek(0)
                 reader = csv.reader(text_fh)
                 rows = ((reader.line_num, [cell.strip() for cell in cells]) for cells in reader)
@@ -213,24 +215,31 @@ def save_chroma_csv(seq: ChromaSequence, path) -> None:
     _write_text(chroma_csv_text(seq), path)
 
 
-def load_chroma_json(path) -> ChromaSequence:
-    """Load chroma from JSON: {"frame_rate"?: number, "frames": [[12 numbers], ...]}.
-
-    JSON booleans and strings are not numbers, neither as ``frame_rate``
-    (checked first) nor as a cell.  A leading BOM is ignored.  Unlike the
-    CSV loader, this one holds the whole file: the standard library's
-    ``json`` has no incremental parser, so the full object tree (a Python
-    float per cell) exists before the frames are built.
-    """
+def _json_object(path, what: str, fields) -> dict:
+    """The JSON object, with all of ``fields``, in UTF-8 file ``path`` (BOM ignored)."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ChromaError(f"cannot read chroma JSON {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise ChromaError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(data, dict) or "frames" not in data:
-        raise ChromaError(f'{path}: expected a JSON object with a "frames" field')
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ChromaError(f"cannot read {what} {path}: {exc}") from exc  # also too deep
+    if not isinstance(data, dict):
+        raise ChromaError(f"{what} {path} must hold a JSON object")
+    for field in fields:
+        if field not in data:
+            raise ChromaError(f"{what} {path} is missing field {field!r}")
+    return data
+
+
+def load_chroma_json(path) -> ChromaSequence:
+    """Load chroma from JSON: {"frame_rate"?: number, "frames": [[12 numbers], ...]}.
+
+    JSON booleans and strings are not numbers, neither as ``frame_rate`` (checked
+    first) nor as a cell.  The file is read as profile files are (``_json_object``: a
+    BOM is ignored, and a bad file refused in the same words).  Unlike the CSV loader,
+    this one holds the whole file: the standard library's ``json`` has no incremental
+    parser, so the full object tree (a Python float per cell) exists before the frames.
+    """
+    data = _json_object(path, "chroma JSON", ("frames",))
     raw = data["frames"]
     if not isinstance(raw, list):
         raise ChromaError(f'{path}: "frames" must be a list of 12-element rows')

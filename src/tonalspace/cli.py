@@ -174,16 +174,10 @@ def cmd_analyze(args) -> int:
     n = len(seq)
     tivs = tiv_from_chroma(seq.frames, weights)
     q = qualities(tivs)
-    columns = [q[:, 0], q[:, 4], q[:, 5], dissonance(tivs)]
-
-    if n >= 3:
-        subset = HARTE_COEFFS if args.hchange_coeffs == "harte" else None
-        series = harmonic_change(tivs, threshold=threshold, coeffs=subset)
-        columns.append(series.values)
-        peaks = series.peaks.tolist()
-    else:
-        columns.append(np.zeros(n))
-        peaks = []
+    subset = HARTE_COEFFS if args.hchange_coeffs == "harte" else None
+    series = harmonic_change(tivs, threshold=threshold, coeffs=subset)
+    columns = [q[:, 0], q[:, 4], q[:, 5], dissonance(tivs), series.values]
+    peaks = series.peaks.tolist()
     del tivs  # freed before the report, which needs only the columns
 
     g_tiv = tiv_from_chroma(global_chroma(seq), weights)

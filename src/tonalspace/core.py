@@ -319,13 +319,14 @@ def combine(tivs) -> Tiv:
 def transpose(t: Tiv, semitones: int) -> Tiv:
     """Transpose by an integer number of semitones (reduced mod 12).
 
-    Rotates each coefficient k by -2*pi*k*p/12; exactly equivalent to
-    building the vector from the circularly rotated chroma.  Energy and
-    magnitudes are unchanged.
+    Rotates each coefficient k by -2*pi*k*p/12; exactly equivalent to building
+    the vector from the circularly rotated chroma.  Energy and magnitudes are
+    unchanged up to rounding: a |T(k)| rounded past the ``Tiv`` bound is w(k).
     """
     p = _as_int(semitones, "semitones") % N_BINS
     if p == 0:
         return t
-    k = np.arange(1, N_COEFFS + 1)
-    rotation = np.exp(-2j * np.pi * k * p / N_BINS)
-    return Tiv(coeffs=_readonly(t.coeffs * rotation), energy=t.energy, weights=t.weights)
+    coeffs = t.coeffs * np.exp(-2j * np.pi * np.arange(1, N_COEFFS + 1) * p / N_BINS)
+    over = np.abs(coeffs) > t.weights * _SLACK  # the bound Tiv checks
+    coeffs[over] *= np.broadcast_to(t.weights, over.shape)[over] / np.abs(coeffs[over])
+    return Tiv(coeffs=_readonly(coeffs), energy=t.energy, weights=t.weights)

@@ -137,12 +137,13 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
 
     The change value at frame m is the Euclidean distance between frames
     m-1 and m+1, so a single chord change produces one clear maximum
-    instead of two.
+    instead of two.  Boundary frames are 0, so one or two frames give all
+    0, no peak and an adaptive floor of 0.0; no frame raises InsufficientInputError.
 
     Parameters
     ----------
     tivs : batched Tiv, or sequence of single Tivs
-        At least three frames, all sharing one weight vector.
+        At least one frame, all sharing one weight vector.
     threshold : "adaptive" or float
         Peak floor.  "adaptive" uses mean + 1 std of the curve, which is
         scale-free across chroma sources; a finite number is used as-is.
@@ -157,8 +158,8 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
         _require_single("harmonic_change's list", *ts)
         matrix = np.array([t.coeffs for t in ts])
     n = len(matrix)
-    if n < 3:
-        raise InsufficientInputError(f"harmonic change needs at least 3 frames, got {n}")
+    if n == 0:
+        raise InsufficientInputError("harmonic change needs at least one frame")
     if coeffs is not None:
         try:
             ks = [_as_int(k, "coefficient", minimum=1) for k in coeffs]

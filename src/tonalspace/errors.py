@@ -35,8 +35,10 @@ a stray numpy error or warning:
   booleans and strings as values.  CSV cells are text by nature and are
   parsed as numbers.  A leading BOM in any of these files is ignored.
 - A profile name that is neither bundled nor a ``<name>.json`` in
-  ``$TONALSPACE_PROFILE_DIR`` raises UnknownProfileError (CLI exit 2); a
-  malformed profile file raises ChromaError (exit 1).
+  ``$TONALSPACE_PROFILE_DIR`` raises UnknownProfileError (CLI exit 2).  A file that
+  cannot be read, decoded or parsed as JSON raises ChromaError (exit 1) worded
+  ``cannot read <what> <path>: <reason>``; a JSON non-object or missing field says so.
+- Harmonic change of 1 or 2 frames is all 0, with no peak; of 0, InsufficientInputError.
 """
 
 

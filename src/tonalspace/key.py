@@ -20,12 +20,12 @@ process estimating many keys computes them once per distinct profile set.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chroma import _json_object
 from .core import (
     DEFAULT_WEIGHTS,
     Tiv,
@@ -112,16 +112,7 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
     "alpha": positive finite number}; extra keys (e.g. "source") and a
     leading BOM are ignored.  The arrays are read-only, so a KeyProfileSet holds them.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ChromaError(f"cannot read profile file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ChromaError(f"profile file {path} must hold a JSON object")
-    for field in ("name", "major", "minor", "alpha"):
-        if field not in data:
-            raise ChromaError(f"profile file {path} is missing field {field!r}")
+    data = _json_object(path, "profile file", ("name", "major", "minor", "alpha"))
     for field in ("major", "minor"):
         try:
             data[field] = _readonly(as_chroma(data[field]))
@@ -141,13 +132,13 @@ def build_profile_set(
 ) -> KeyProfileSet:
     """Load (or assemble) a key profile set and precompute its 24 vectors.
 
-    ``name`` is one of the bundled sets ("temperley", alpha 0.2;
-    "shaath", alpha 0.55) or any ``<name>.json`` under
-    ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
-    "custom" given ``major_profile`` or ``minor_profile`` is assembled from
-    them instead, and requires both plus ``alpha_override``.
+    Given ``major_profile`` or ``minor_profile``, the set is assembled from
+    them, whatever ``name`` (which then only labels it), and requires both
+    plus ``alpha_override``.  Otherwise ``name`` is one of the bundled sets
+    ("temperley", alpha 0.2; "shaath", alpha 0.55) or any ``<name>.json``
+    under ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
     """
-    if name == "custom" and (major_profile is not None or minor_profile is not None):
+    if major_profile is not None or minor_profile is not None:
         if major_profile is None or minor_profile is None or alpha_override is None:
             raise ChromaError(
                 "custom profile set requires major_profile, minor_profile and alpha_override"

@@ -32,6 +32,8 @@ from tonalspace import (
 )
 from tonalspace import cli, core
 from tonalspace.cli import ANALYZE_COLUMNS, main
+from tonalspace.errors import ChromaError
+from tonalspace.key import load_profile_file
 
 from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma, pcm16_wav_bytes
 
@@ -748,6 +750,59 @@ def test_edge_inputs_follow_the_policy(tmp_path, capsys, command, code):
         assert err.startswith("tonalspace: error: ") and err.count("\n") == 1, err
     if "--out-format json" in command:
         json.loads(out, parse_constant=_reject_constant)
+
+
+# One table of unreadable input files: (id, file bytes or None for no file,
+# {loader: message}); each message is formatted with the loader's ``what`` and the path.
+READ_FAILS = "cannot read {what} {path}: "
+ALL_LOADERS = ("csv", "json", "profile")
+UNREADABLE_ROWS = [
+    ("missing", None,
+     dict.fromkeys(ALL_LOADERS, READ_FAILS + "[Errno 2] No such file or directory: {path!r}")),
+    ("bad-utf-8", b'{"a":\n \xff}', dict.fromkeys(
+        ALL_LOADERS, READ_FAILS + "'utf-8' codec can't decode byte 0xff in position 7: "
+        "invalid start byte")),
+    ("malformed-json", b'{"frames": [1,]}', dict.fromkeys(
+        ("json", "profile"), READ_FAILS + "Expecting value: line 1 column 15 (char 14)")),
+    ("non-object", b"[1]",
+     dict.fromkeys(("json", "profile"), "{what} {path} must hold a JSON object")),
+    ("missing-field", b'{"name": "x"}', {"json": "{what} {path} is missing field 'frames'",
+                                         "profile": "{what} {path} is missing field 'major'"}),
+]
+LOADERS = {
+    "csv": ("chroma CSV", load_chroma_csv, "c.csv"),
+    "json": ("chroma JSON", load_chroma_json, "c.json"),
+    "profile": ("profile file", load_profile_file, "house.json"),
+}
+
+
+@pytest.mark.parametrize(
+    "data, kind, template",
+    [(data, kind, message) for _, data, messages in UNREADABLE_ROWS
+     for kind, message in messages.items()],
+    ids=[f"{row}-{kind}" for row, _, messages in UNREADABLE_ROWS for kind in messages],
+)
+def test_unreadable_input_files(tmp_path, capsys, monkeypatch, data, kind, template):
+    """Every loader refuses an unreadable file in one wording, and main prints
+    it as one error line with exit code 1."""
+    what, load, name = LOADERS[kind]
+    path = str(tmp_path / name)
+    if data is not None:
+        Path(path).write_bytes(data)
+    message = template.format(what=what, path=path)
+    with pytest.raises(ChromaError) as info:
+        load(path)
+    assert str(info.value) == message
+    argv = ["analyze", path]
+    if kind == "profile":
+        monkeypatch.setenv("TONALSPACE_PROFILE_DIR", str(tmp_path))
+        argv = ["key", str(GOLDEN / "clip.json"), "--profile", "house"]
+        if data is None:  # a profile name with no file is unknown: a usage error
+            assert main(argv) == 2
+            assert "unknown profile 'house'" in capsys.readouterr().err
+            return
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"tonalspace: error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "combine"])

@@ -409,6 +409,18 @@ class TestTranspose:
         assert tt.energy == t.energy
         assert np.allclose(mag(tt), mag(t), atol=1e-12)
 
+    @pytest.mark.parametrize("p", range(12))
+    def test_vector_at_the_bound_transposes(self, p):
+        """A vector the constructor accepts at |T(k)| = w(k) * _SLACK transposes
+        by every shift: a coefficient rounded past the bound is set back to w(k)."""
+        w = DEFAULT_WEIGHTS
+        t = Tiv(w * core_module._SLACK + 0j, 1.0, w)
+        got = transpose(t, p)
+        assert np.all(np.abs(got.coeffs) <= w * core_module._SLACK)
+        assert np.allclose(mag(got), w, rtol=2**-38, atol=0)
+        k = np.arange(1, 7)
+        assert np.allclose(got.coeffs / mag(got), np.exp(-2j * np.pi * k * p / 12), atol=1e-12)
+
     def test_negative_and_modular_shifts(self, rng):
         t = tiv_from_chroma(random_chroma(rng))
         assert np.allclose(transpose(t, -3).coeffs, transpose(t, 9).coeffs, atol=1e-12)

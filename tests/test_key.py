@@ -130,6 +130,19 @@ class TestProfileSets:
         assert ps.alpha == 0.4
         assert len(ps.profile_tivs) == 24
 
+    @pytest.mark.parametrize("name", ["temperley", "house"])
+    def test_given_arrays_build_the_set_whatever_its_name(self, name):
+        """The arrays choose a custom set; the name, bundled or not, only labels it."""
+        major, minor = np.arange(1.0, 13.0), np.arange(12.0, 0.0, -1.0)
+        ps = build_profile_set(name, 0.4, major_profile=major, minor_profile=minor)
+        assert ps.name == name and ps.alpha == 0.4
+        assert np.array_equal(ps.major_profile, major)
+        assert np.array_equal(ps.minor_profile, minor)
+        custom = build_profile_set("custom", 0.4, major_profile=major, minor_profile=minor)
+        assert np.array_equal(ps.profile_tivs.coeffs, custom.profile_tivs.coeffs)
+        with pytest.raises(ChromaError, match="requires major_profile, minor_profile"):
+            build_profile_set(name, major_profile=major, minor_profile=minor)
+
     def test_custom_profile_requires_all_parts(self):
         with pytest.raises(ChromaError):
             build_profile_set("custom", major_profile=np.ones(12))
