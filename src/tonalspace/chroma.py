@@ -38,14 +38,12 @@ DEFAULT_A4 = 440.0
 class ChromaSequence:
     """An ordered run of 12-bin chroma frames.
 
-    ``frames`` is an (N, 12) float array of nonnegative finite values;
-    ``frame_rate`` is frames per second when known (None otherwise);
-    ``source`` records where the frames came from.
+    ``ChromaSequence(frames, frame_rate=None)``: ``frames`` is an (N, 12) float array
+    of nonnegative finite values; ``frame_rate`` is frames per second when known.
     """
 
     frames: np.ndarray
     frame_rate: float | None = None
-    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "frames", _frozen(_as_bins(self.frames, ndims=(2,))))
@@ -147,7 +145,7 @@ def load_chroma_csv(path) -> ChromaSequence:
                 frames = _plain_csv_frames(text_fh)
                 if frames is not None:
                     try:
-                        return ChromaSequence(_readonly(frames), source=str(path))
+                        return ChromaSequence(_readonly(frames))
                     except ChromaError:
                         frames = None  # freed: the row loop below names the bad row
                 text_fh.seek(0)
@@ -167,7 +165,7 @@ def load_chroma_csv(path) -> ChromaSequence:
                     raise ChromaError(f"{path}: malformed CSV: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ChromaError(f"cannot read chroma CSV {path}: {exc}") from exc
-    return ChromaSequence(frames, source=str(path))
+    return ChromaSequence(frames)
 
 
 def _rows(template: str, columns):
@@ -248,7 +246,7 @@ def load_chroma_json(path) -> ChromaSequence:
         frame_rate = _as_real(frame_rate, f'{path}: "frame_rate"', positive=True)
     try:
         frames = _readonly(_as_floats(raw, "chroma bins"))  # a new array: held without a copy
-        return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
+        return ChromaSequence(frames, frame_rate=frame_rate)
     except ChromaError:
         pass  # the row loop names the bad row
 
@@ -261,7 +259,7 @@ def load_chroma_json(path) -> ChromaSequence:
 
     frames = _parse_rows(rows(), path)
     try:
-        return ChromaSequence(frames, frame_rate=frame_rate, source=str(path))
+        return ChromaSequence(frames, frame_rate=frame_rate)
     except ChromaError as exc:  # every row passed: the frame rate is refused
         raise ChromaError(f"{path}: {exc}") from None
 
@@ -327,7 +325,7 @@ def window_average(seq: ChromaSequence, n: int) -> ChromaSequence:
     if not np.isfinite(blocks).all():
         raise ChromaError("the frame mean overflows the float range")
     rate = None if seq.frame_rate is None else seq.frame_rate / n
-    return ChromaSequence(_readonly(blocks), frame_rate=rate, source=seq.source)
+    return ChromaSequence(_readonly(blocks), frame_rate=rate)
 
 
 def _to_float_samples(data: np.ndarray, path) -> np.ndarray:
@@ -419,4 +417,4 @@ def extract_chroma_wav(
         frames = _readonly(power @ fold)
     if not np.isfinite(frames).all():
         raise ChromaError(f"{path}: the spectral power overflows the float range")
-    return ChromaSequence(frames, frame_rate=sample_rate / hop_size, source=str(path))
+    return ChromaSequence(frames, frame_rate=sample_rate / hop_size)

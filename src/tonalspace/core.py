@@ -151,8 +151,8 @@ def _require_single(what: str, *tivs) -> None:
         _require_same_weights(tivs[0], t)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    if arr.flags.owndata and not arr.flags.writeable:
+def _frozen(arr) -> np.ndarray:
+    if isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable:
         return arr
     return _readonly(np.array(arr, copy=True))
 

@@ -12,11 +12,11 @@ peaks mark transitions between harmonically stable regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (N_COEFFS, Tiv, _as_int, _as_real, _frozen, _readonly,
+from .core import (N_COEFFS, Tiv, _as_floats, _as_int, _as_real, _frozen, _readonly,
                    _require_same_weights, _require_single)
 from .errors import ChromaError, DegenerateInputError, InsufficientInputError
 
@@ -116,20 +116,31 @@ def cosine_distance(t1: Tiv, t2: Tiv) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HarmonicChangeSeries:
-    """Framewise harmonic change values and the picked peak indices.
-
-    ``values`` has one entry per input frame (boundary frames are 0 by
-    convention since they lack a neighbour on one side); ``peaks`` holds
-    indices of strict local maxima at or above ``threshold``.
-    """
+    """``HarmonicChangeSeries(values, threshold)``: one change value per frame (the
+    boundary frames, lacking a neighbour on one side, are 0), the floor used from
+    ``threshold`` ("adaptive", mean + 1 std of ``values``, or a finite number) and
+    the ``peaks``, strict local maxima at or above it."""
 
     values: np.ndarray
-    peaks: np.ndarray
     threshold: float
+    peaks: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=float)))
-        object.__setattr__(self, "peaks", _frozen(np.asarray(self.peaks, dtype=int)))
+        values = _frozen(_as_floats(self.values, "harmonic change values"))
+        if values.ndim != 1 or not np.isfinite(values).all():
+            raise ChromaError("harmonic change values must be an (N,) array of finite numbers")
+        if len(values) == 0:
+            raise InsufficientInputError("harmonic change needs at least one frame")
+        if isinstance(self.threshold, str) and self.threshold == "adaptive":  # arrays == per item
+            with np.errstate(over="ignore"):  # an infinite floor picks no peak
+                floor = float(values.mean() + values.std())
+        else:
+            floor = _as_real(self.threshold, "threshold")
+        middle = values[1:-1]
+        is_peak = (values[:-2] < middle) & (middle >= values[2:]) & (middle >= floor)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "threshold", floor)
+        object.__setattr__(self, "peaks", _frozen(_readonly(np.flatnonzero(is_peak) + 1)))
 
 
 def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSeries:
@@ -137,12 +148,13 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
 
     The change value at frame m is the Euclidean distance between frames
     m-1 and m+1, so a single chord change produces one clear maximum
-    instead of two.  Boundary frames are 0, so one or two frames give all
-    0, no peak and an adaptive floor of 0.0; no frame raises InsufficientInputError.
+    instead of two.  Boundary frames are 0, so one or two frames (one unbatched
+    vector is one frame, the N = 1 case of ``core``) give all 0, no peak and an
+    adaptive floor of 0.0; no frame raises InsufficientInputError.
 
     Parameters
     ----------
-    tivs : batched Tiv, or sequence of single Tivs
+    tivs : batched Tiv, one Tiv, or sequence of single Tivs
         At least one frame, all sharing one weight vector.
     threshold : "adaptive" or float
         Peak floor.  "adaptive" uses mean + 1 std of the curve, which is
@@ -156,10 +168,7 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
     else:
         ts = list(tivs)
         _require_single("harmonic_change's list", *ts)
-        matrix = np.array([t.coeffs for t in ts])
-    n = len(matrix)
-    if n == 0:
-        raise InsufficientInputError("harmonic change needs at least one frame")
+        matrix = np.array([t.coeffs for t in ts]).reshape(-1, N_COEFFS)
     if coeffs is not None:
         try:
             ks = [_as_int(k, "coefficient", minimum=1) for k in coeffs]
@@ -169,17 +178,6 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
             raise ChromaError("coefficient subset must be integers drawn from 1..6")
         matrix = matrix[:, np.unique(ks) - 1]
 
-    values = np.zeros(n)
+    values = np.zeros(len(matrix))
     values[1:-1] = np.sqrt(np.sum(np.abs(matrix[2:] - matrix[:-2]) ** 2, axis=1))
-
-    if isinstance(threshold, str) and threshold == "adaptive":  # arrays compare per item
-        with np.errstate(over="ignore"):  # an infinite floor picks no peak
-            floor = float(values.mean() + values.std())
-    else:
-        floor = _as_real(threshold, "threshold")
-
-    middle = values[1:-1]
-    is_peak = (values[:-2] < middle) & (middle >= values[2:]) & (middle >= floor)
-    return HarmonicChangeSeries(
-        values=_readonly(values), peaks=_readonly(np.flatnonzero(is_peak) + 1), threshold=floor
-    )
+    return HarmonicChangeSeries(_readonly(values), threshold)

@@ -30,14 +30,16 @@ a stray numpy error or warning:
   file.  A WAV that scipy reads with a format warning is read without it.  An
   alpha so large that alpha * T overflows makes every minor distance
   infinite, so a major key wins (the alpha -> infinity limit).
-- Boolean and string arrays are not chroma, weights, profiles or ``Tiv``
-  values (numpy reads ``"1"`` as 1.0); JSON chroma and profile files refuse
+- Boolean and string arrays are not chroma, weights, profiles, ``Tiv``, key
+  distances or change values (numpy reads ``"1"`` as 1.0); JSON files refuse
   booleans and strings as values.  CSV cells are text by nature and are
   parsed as numbers.  A leading BOM in any of these files is ignored.
 - A profile name that is neither bundled nor a ``<name>.json`` in
   ``$TONALSPACE_PROFILE_DIR`` raises UnknownProfileError (CLI exit 2).  A file that
   cannot be read, decoded or parsed as JSON raises ChromaError (exit 1) worded
   ``cannot read <what> <path>: <reason>``; a JSON non-object or missing field says so.
+  Other refusals of a chroma file's content start ``<path>: `` (a CSV or JSON
+  row's: ``<path>: row <i>: <reason>``), of a profile file's ``profile file <path>: ``.
 - Harmonic change of 1 or 2 frames is all 0, with no peak; of 0, InsufficientInputError.
 """
 

@@ -4,8 +4,8 @@ Reference vectors are the interval vectors of the 12 rotations of a major
 and a minor key profile.  Distances to the minor references are measured
 after scaling the query by the profile set's ``alpha`` bias, which balances
 the systematically different geometry of the major and minor templates.
-The winning index r encodes tonic and mode: 0..11 are C..B major, 12..23
-are C..B minor.
+``KeyResult`` derives the winning index r from the 24 distances, and tonic
+and mode from r: 0..11 are C..B major, 12..23 are C..B minor.
 
 Profile tables ship as JSON data files (``profiles/``) rather than inline
 constants so their provenance stays auditable; ``TONALSPACE_PROFILE_DIR``
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .chroma import _json_object
 from .core import (
     DEFAULT_WEIGHTS,
     Tiv,
+    _as_floats,
     _as_real,
     _frozen,
     _readonly,
@@ -67,15 +68,23 @@ class KeyProfileSet:
 
 @dataclass(frozen=True, eq=False)
 class KeyResult:
-    """Winning key index plus the full 24-entry distance vector."""
+    """``KeyResult(distances)``: the (24,) distances to the references and the
+    nearest, ``index`` (ties to the lowest), with its ``tonic`` and ``mode``."""
 
-    index: int
-    tonic: int
-    mode: str
     distances: np.ndarray
+    index: int = field(init=False)
+    tonic: int = field(init=False)
+    mode: str = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "distances", _frozen(self.distances))
+        distances = _frozen(_as_floats(self.distances, "key distances"))
+        if distances.shape != (24,):
+            raise ChromaError(f"key distances must have shape (24,), got {distances.shape}")
+        index = int(distances.argmin())
+        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "tonic", index % 12)
+        object.__setattr__(self, "mode", "major" if index <= 11 else "minor")
 
     @property
     def label(self) -> str:
@@ -113,11 +122,11 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
     leading BOM are ignored.  The arrays are read-only, so a KeyProfileSet holds them.
     """
     data = _json_object(path, "profile file", ("name", "major", "minor", "alpha"))
-    for field in ("major", "minor"):
+    for mode in ("major", "minor"):
         try:
-            data[field] = _readonly(as_chroma(data[field]))
+            data[mode] = _readonly(as_chroma(data[mode]))
         except ChromaError as exc:
-            raise ChromaError(f"profile file {path}: {field}: {exc}") from None
+            raise ChromaError(f"profile file {path}: {mode}: {exc}") from None
     alpha = _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
     return data["major"], data["minor"], alpha
 
@@ -186,11 +195,4 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     _require_same_weights(t, profiles.profile_tivs)
     with np.errstate(over="ignore"):  # an overflowing alpha * T makes a minor distance inf
         queries = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None]
-        distances = _readonly(np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs)))
-    index = int(distances.argmin())
-    return KeyResult(
-        index=index,
-        tonic=index % 12,
-        mode="major" if index <= 11 else "minor",
-        distances=distances,
-    )
+        return KeyResult(_readonly(np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs))))

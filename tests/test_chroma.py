@@ -221,7 +221,7 @@ def test_text_blocks_change_nothing(monkeypatch, rng, rows, render, frame_rate):
 
 class TestChromaSequence:
     def test_valid_construction(self):
-        seq = ChromaSequence(np.ones((3, 12)), frame_rate=10.0, source="test")
+        seq = ChromaSequence(np.ones((3, 12)), frame_rate=10.0)
         assert len(seq) == 3
         assert seq.frame_rate == 10.0
 
@@ -327,7 +327,7 @@ class TestCsv:
 
     def test_round_trip_full_precision(self, tmp_path, rng):
         frames = rng.uniform(0, 1, (5, 12))
-        seq = ChromaSequence(frames, source="mem")
+        seq = ChromaSequence(frames)
         path = tmp_path / "c.csv"
         save_chroma_csv(seq, path)
         back = load_chroma_csv(path)
@@ -633,7 +633,7 @@ class TestJson:
 
     def test_round_trip(self, tmp_path, rng):
         frames = rng.uniform(0, 2, (4, 12))
-        seq = ChromaSequence(frames, frame_rate=21.5, source="mem")
+        seq = ChromaSequence(frames, frame_rate=21.5)
         path = tmp_path / "c.json"
         save_chroma_json(seq, path)
         back = load_chroma_json(path)

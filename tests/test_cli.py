@@ -514,6 +514,27 @@ class TestKey:
         assert "can't decode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("original", "copy", "fmt", "key"),
+    [(GOLDEN.parent / "fixture.csv", "f.txt", "csv", "12 C minor"),
+     (GOLDEN / "clip.json", "c.dat", "json", "21 A minor"),
+     (GOLDEN / "tone.wav", "t.bin", "wav", "16 E minor")],
+)
+def test_format_reads_a_file_whatever_its_extension(tmp_path, capsys, original, copy, fmt, key):
+    # a copy under a name with no known extension reads as the original under --format
+    copy = tmp_path / copy
+    copy.write_bytes(original.read_bytes())
+    outputs = []
+    for argv in ([str(original)], [str(copy), "--format", fmt]):
+        for command in ("key", "analyze"):
+            assert main([command, *argv]) == 0
+            # the analyze head names its input; nothing else may differ
+            lines = capsys.readouterr().out.splitlines()
+            outputs.append([line for line in lines if not line.startswith("# input: ")])
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0] == [key] and len(outputs[1]) > 1
+
+
 class TestCombine:
     def test_with_itself_doubles_energy(self, one_hot_files, capsys):
         path = str(one_hot_files[0])

@@ -488,10 +488,8 @@ HOLDERS = {
     "PhaseVector.values": (lambda a: PhaseVector(a, np.ones(6, bool)), lambda: np.ones(6)),
     "PhaseVector.valid": (lambda a: PhaseVector(np.ones(6), a), lambda: np.ones(6, bool)),
     "HarmonicChangeSeries.values": (
-        lambda a: HarmonicChangeSeries(a, [1], 0.5), lambda: np.ones(3)),
-    "HarmonicChangeSeries.peaks": (
-        lambda a: HarmonicChangeSeries(np.ones(3), a, 0.5), lambda: np.ones(1, int)),
-    "KeyResult.distances": (lambda a: KeyResult(0, 0, "major", a), lambda: np.ones(24)),
+        lambda a: HarmonicChangeSeries(a, 0.5), lambda: np.ones(3)),
+    "KeyResult.distances": (KeyResult, lambda: np.ones(24)),
     "KeyProfileSet.major_profile": (
         lambda a: KeyProfileSet("p", a, np.ones(12), 0.5, REFERENCES), lambda: np.ones(12)),
     "KeyProfileSet.minor_profile": (
@@ -511,6 +509,14 @@ class TestHandOver:
         want = arr.copy()
         arr[...] = 0
         assert held is not arr and np.array_equal(held, want)
+        assert not held.flags.writeable
+
+    @pytest.mark.parametrize("field", HOLDERS)
+    def test_a_list_is_held_as_a_read_only_array(self, field):
+        build, fresh = HOLDERS[field]
+        want = fresh()
+        held = getattr(build(want.tolist()), field.split(".")[1])
+        assert isinstance(held, np.ndarray) and np.array_equal(held, want)
         assert not held.flags.writeable
 
     @pytest.mark.parametrize("field", HOLDERS)

@@ -9,6 +9,7 @@ from tonalspace import (
     HARTE_COEFFS,
     ChromaError,
     DegenerateInputError,
+    HarmonicChangeSeries,
     InsufficientInputError,
     WeightMismatchError,
     chromaticity,
@@ -381,7 +382,7 @@ class TestHarmonicChange:
                 harmonic_change(empty)
         for n in (1, 2):
             batch = tiv_from_chroma(np.eye(12)[:n])
-            for tivs in (batch, [batch[i] for i in range(n)]):
+            for tivs in (batch, [batch[i] for i in range(n)], *([batch[0]] if n == 1 else [])):
                 series = harmonic_change(tivs)
                 assert series.values.tolist() == [0.0] * n
                 assert series.peaks.tolist() == []
@@ -403,3 +404,32 @@ class TestHarmonicChange:
         assert np.all(series.values >= 0)
         assert all(1 <= p <= n - 2 for p in series.peaks)
         assert np.array_equal(series.peaks, np.sort(series.peaks))
+
+    @pytest.mark.parametrize("threshold", ["adaptive", 0.0, 1e6])
+    def test_series_from_values_picks_the_same_floor_and_peaks(self, rng, threshold):
+        for n in (1, 2, 3, 8, 40):
+            tivs = tiv_from_chroma(rng.uniform(0, 1, (n, 12)))
+            built = harmonic_change(tivs, threshold=threshold)
+            again = HarmonicChangeSeries(built.values, threshold)
+            assert again.threshold == built.threshold
+            assert again.peaks.dtype == built.peaks.dtype
+            assert again.peaks.tolist() == built.peaks.tolist()
+
+    def test_series_derives_its_floor_and_peaks(self):
+        adaptive = HarmonicChangeSeries([0.0, 1.0, 0.0, 3.0, 0.0], "adaptive")
+        assert adaptive.threshold == 0.8 + np.std([0.0, 1.0, 0.0, 3.0, 0.0])
+        assert adaptive.peaks.tolist() == [3]
+        assert HarmonicChangeSeries([0.0, 1.0, 0.0], 5.0).peaks.tolist() == []
+        assert HarmonicChangeSeries([0.0, 1.0, 0.0], 1).threshold == 1.0
+
+    @pytest.mark.parametrize(
+        "values", [np.ones((2, 3)), 1.0, [0.0, np.nan], [0.0, np.inf], ["1"], [True, False]],
+        ids=["2-d", "scalar", "nan", "inf", "string", "bool"],
+    )
+    def test_series_refuses_values_that_are_not_a_finite_curve(self, values):
+        with pytest.raises(ChromaError, match="harmonic change values"):
+            HarmonicChangeSeries(values, "adaptive")
+
+    def test_series_of_no_value_is_too_short(self):
+        with pytest.raises(InsufficientInputError):
+            HarmonicChangeSeries([], "adaptive")

@@ -11,6 +11,7 @@ from tonalspace import (
     DEFAULT_WEIGHTS,
     ChromaError,
     DegenerateInputError,
+    KeyResult,
     Tiv,
     UnknownProfileError,
     WeightMismatchError,
@@ -328,3 +329,39 @@ class TestEstimateKey:
                 if result.distances[r] < result.distances[best]:
                     best = r
             assert result.index == best
+
+
+class TestKeyResult:
+    """``KeyResult(distances)`` derives the key from its 24 distances."""
+
+    @pytest.mark.parametrize("r", range(24))
+    def test_the_nearest_reference_names_the_key(self, r):
+        distances = np.full(24, 2.0)
+        distances[r] = 1.0
+        result = KeyResult(distances)
+        assert (result.index, result.tonic) == (r, r % 12)
+        assert result.mode == ("major" if r < 12 else "minor")
+        assert result.label == f"{PITCH_CLASS_NAMES[r % 12]} {result.mode}"
+        assert result.to_dict() == {
+            "index": r, "tonic": r % 12, "mode": result.mode, "label": result.label,
+        }
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        distances = np.full(24, 2.0)
+        distances[[5, 14, 20]] = 1.0
+        assert KeyResult(distances).index == 5
+        assert KeyResult(np.zeros(24)).label == "C major"
+
+    @pytest.mark.parametrize(
+        "distances",
+        [np.ones(23), np.ones((2, 24)), np.ones(25), 1.0, ["1"] * 24,
+         np.array(["1"] * 24), [True] + [1.0] * 23, np.ones(24, bool)],
+        ids=["23", "2x24", "25", "scalar", "strings", "string-array", "bool-list", "bool-array"],
+    )
+    def test_distances_must_be_24_numbers(self, distances):
+        with pytest.raises(ChromaError, match="key distances"):
+            KeyResult(distances)
+
+    def test_only_the_distances_are_given(self):
+        with pytest.raises(TypeError):
+            KeyResult(0, 5, "minor", np.ones(24))
