@@ -189,6 +189,8 @@ class Tiv:
         w = _frozen(as_weights(self.weights))
         if not (np.abs(coeffs) <= w * _SLACK).all():  # a NaN fails it
             raise ChromaError("coeffs must be finite, each |T(k)| at most its weight w(k)")
+        if not energy.all() and coeffs[energy == 0].any():  # energy.all() skips the mask
+            raise ChromaError("a silent vector (energy 0) must have all coeffs 0")
         object.__setattr__(self, "coeffs", _frozen(coeffs))
         object.__setattr__(self, "energy", float(energy) if energy.ndim == 0 else _frozen(energy))
         object.__setattr__(self, "weights", w)

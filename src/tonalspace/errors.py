@@ -4,10 +4,10 @@ Everything derives from ValueError so callers who do not care about the
 distinction can catch the builtin.  The library raises one of these, never
 a stray numpy error or warning:
 
-- Silence (all-zero chroma) is the zero vector with energy 0: qualities
-  report 0, dissonance 1, distances treat it as the origin.  Key estimation,
-  the cosine and a ``combine`` of only silence raise DegenerateInputError,
-  as key estimation and the cosine do for a zero-norm (uniform) chroma.
+- Silence (all-zero chroma) is the zero vector with energy 0, and a ``Tiv`` of
+  energy 0 has every coefficient 0: qualities report 0, dissonance 1, distances
+  treat it as the origin.  Key estimation, the cosine and a ``combine`` of only
+  silence raise DegenerateInputError, as the first two do for a zero-norm chroma.
 - ChromaError: NaN, infinite or negative bins; bin sums, frame means and
   ``combine`` energy sums beyond the float range (a mix whose energy sum is
   finite is computed, however large its operands); NaN, infinite or
@@ -19,7 +19,7 @@ a stray numpy error or warning:
   no frame is a peak); a batch given to a function of one vector
   (``estimate_key``, the cosine, ``combine``'s and ``harmonic_change``'s
   list items, ``Tiv.to_dict``); two batches of different lengths given to
-  ``euclid``; and any argument that breaks the next rules.
+  ``euclid``; NaN or negative key distances; and any argument that breaks the next rules.
 - Counts, indices and shifts (window and hop sizes, ``global_chroma``
   bounds, ``transpose``'s semitones) are integers.  Thresholds, rates,
   frequencies and alphas are finite reals.  Booleans and strings are
@@ -29,7 +29,8 @@ a stray numpy error or warning:
   power that overflows the float range is refused; both errors name the
   file.  A WAV that scipy reads with a format warning is read without it.  An
   alpha so large that alpha * T overflows makes every minor distance
-  infinite, so a major key wins (the alpha -> infinity limit).
+  infinite, so a major key wins (the alpha -> infinity limit).  A hand-built
+  ``KeyProfileSet`` is checked as a loaded one is: chroma profiles, alpha, weights.
 - Boolean and string arrays are not chroma, weights, profiles, ``Tiv``, key
   distances or change values (numpy reads ``"1"`` as 1.0); JSON files refuse
   booleans and strings as values.  CSV cells are text by nature and are

@@ -11,10 +11,9 @@ Profile tables ship as JSON data files (``profiles/``) rather than inline
 constants so their provenance stays auditable; ``TONALSPACE_PROFILE_DIR``
 points the loader at an alternative directory.
 
-``build_profile_set`` reads and validates the profile file on every call,
-so an edited or malformed override file takes effect at once; the 24
-reference vectors are memoised by the profiles' and weights' contents, so a
-process estimating many keys computes them once per distinct profile set.
+A ``KeyProfileSet`` checks its arrays and derives its 24 references, memoised by
+their contents, so a process computes them once per distinct set.  ``build_profile_set``
+rereads the named file on every call, so an edited override file takes effect at once.
 """
 
 from __future__ import annotations
@@ -51,19 +50,25 @@ PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#",
 
 @dataclass(frozen=True, eq=False)
 class KeyProfileSet:
-    """A named major/minor profile pair, its bias, and the 24 reference
-    vectors as one batched Tiv (row r: 0..11 major rotations, 12..23 minor
-    rotations)."""
+    """``KeyProfileSet(name, major_profile, minor_profile, alpha, weights)``: a named,
+    checked major/minor profile pair and bias, and their 24 references as one batched
+    Tiv, ``profile_tivs`` (row r: 0..11 major rotations, 12..23 minor rotations)."""
 
     name: str
     major_profile: np.ndarray
     minor_profile: np.ndarray
     alpha: float
-    profile_tivs: Tiv
+    weights: np.ndarray = field(default_factory=lambda: DEFAULT_WEIGHTS)
+    profile_tivs: Tiv = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "major_profile", _frozen(self.major_profile))
-        object.__setattr__(self, "minor_profile", _frozen(self.minor_profile))
+        major, minor = (_frozen(as_chroma(p)) for p in (self.major_profile, self.minor_profile))
+        alpha = _as_real(self.alpha, "alpha", positive=True)
+        tivs = _references(major.tobytes(), minor.tobytes(), as_weights(self.weights).tobytes())
+        fields = dict(major_profile=major, minor_profile=minor, alpha=alpha,
+                      weights=tivs.weights, profile_tivs=tivs)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +85,8 @@ class KeyResult:
         distances = _frozen(_as_floats(self.distances, "key distances"))
         if distances.shape != (24,):
             raise ChromaError(f"key distances must have shape (24,), got {distances.shape}")
+        if not (distances >= 0).all():  # a NaN fails it; inf is an overflowed distance
+            raise ChromaError("key distances must be nonnegative, not NaN")
         index = int(distances.argmin())
         object.__setattr__(self, "distances", distances)
         object.__setattr__(self, "index", index)
@@ -131,40 +138,16 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
     return data["major"], data["minor"], alpha
 
 
-def build_profile_set(
-    name: str,
-    alpha_override=None,
-    *,
-    major_profile=None,
-    minor_profile=None,
-    weights=DEFAULT_WEIGHTS,
-) -> KeyProfileSet:
-    """Load (or assemble) a key profile set and precompute its 24 vectors.
-
-    Given ``major_profile`` or ``minor_profile``, the set is assembled from
-    them, whatever ``name`` (which then only labels it), and requires both
-    plus ``alpha_override``.  Otherwise ``name`` is one of the bundled sets
-    ("temperley", alpha 0.2; "shaath", alpha 0.55) or any ``<name>.json``
-    under ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
+def build_profile_set(name: str, alpha_override=None, *, weights=DEFAULT_WEIGHTS) -> KeyProfileSet:
+    """Load the named key profile set: one of the bundled sets ("temperley",
+    alpha 0.2; "shaath", alpha 0.55) or any ``<name>.json`` under
+    ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
+    ``alpha_override``, when given, replaces the file's alpha.  A set of other
+    arrays is built with ``KeyProfileSet`` itself.
     """
-    if major_profile is not None or minor_profile is not None:
-        if major_profile is None or minor_profile is None or alpha_override is None:
-            raise ChromaError(
-                "custom profile set requires major_profile, minor_profile and alpha_override"
-            )
-        major, minor, alpha = as_chroma(major_profile), as_chroma(minor_profile), None
-    else:
-        major, minor, alpha = load_profile_file(_profile_path(name))
-    if alpha_override is not None:
-        alpha = _as_real(alpha_override, "alpha", positive=True)
-    w = as_weights(weights)
-    return KeyProfileSet(
-        name=name,
-        major_profile=major,
-        minor_profile=minor,
-        alpha=alpha,
-        profile_tivs=_references(major.tobytes(), minor.tobytes(), w.tobytes()),
-    )
+    major, minor, alpha = load_profile_file(_profile_path(name))
+    alpha = alpha if alpha_override is None else alpha_override
+    return KeyProfileSet(name, major, minor, alpha, weights)
 
 
 @functools.lru_cache(maxsize=16)

@@ -37,6 +37,9 @@ from tonalspace.key import load_profile_file
 
 from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma, pcm16_wav_bytes
 
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from tsbench import spans  # noqa: E402
+
 GOLDEN = Path(__file__).parent / "data" / "golden"
 HUGE = ",".join(["1e308"] * 6)  # 4 * sum(w**2) overflows: refused
 NEAR = ",".join(["2.7e153"] * 6)  # just under that bound: accepted
@@ -992,3 +995,19 @@ def describe_parser(parser):
             for name, sp in sub.choices.items()
         ],
     }
+
+
+# tsbench times each stage by wrapping the name tonalspace.cli binds for it, so a
+# stage call that leaves cli goes untimed and its time falls into cli.self_s.  A
+# change that moves stage calls out of cli edits these sets with the benchmark.
+BOUND_IN_CLI = {
+    "build_profile_set", "dissonance", "estimate_key", "extract_chroma_wav", "global_chroma",
+    "harmonic_change", "load_chroma_csv", "load_chroma_json", "tiv_from_chroma",
+    "window_average",
+}
+
+
+def test_cli_binds_the_stage_calls_the_benchmark_times():
+    bound = {name for name in spans.WRAPPED if hasattr(cli, name)}
+    assert bound == BOUND_IN_CLI
+    assert set(spans.WRAPPED) - bound == {"chromaticity", "diatonicity", "wholetoneness"}

@@ -233,6 +233,30 @@ class TestTivConstruction:
         with pytest.raises(ChromaError, match="weight"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: Tiv([1] + [0] * 5, 0.0, DEFAULT_WEIGHTS), id="one"),
+            pytest.param(
+                lambda: Tiv([[0] * 6, [0] * 5 + [1j]], [1.0, 0.0], DEFAULT_WEIGHTS), id="batch"
+            ),
+            pytest.param(
+                lambda: Tiv.from_dict({"coeffs": [[1, 0]] + [[0, 0]] * 5, "energy": 0}),
+                id="dict-one",
+            ),
+        ],
+    )
+    def test_a_silent_vector_with_a_nonzero_coefficient_is_refused(self, build):
+        with pytest.raises(ChromaError, match="energy 0"):
+            build()
+
+    def test_a_silent_vector_of_zeros_is_accepted(self):
+        # a signed zero is 0, as the rotation in transpose may make of a silent vector
+        t = Tiv.from_dict({"coeffs": [[-0.0, 0.0]] * 6, "energy": 0})
+        assert t.is_silent and transpose(t, 5).is_silent
+        batch = Tiv([[0] * 6, [1] + [0] * 5], [0.0, 1.0], DEFAULT_WEIGHTS)
+        assert batch[0].is_silent and not batch[1].is_silent
+
     @pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, [1e-300] * 6], ids=["default", "tiny"])
     def test_every_transposed_one_hot_is_within_the_weights(self, weights):
         for pc in range(12):
@@ -449,7 +473,6 @@ class TestTranspose:
             assert np.allclose(np.mod(delta + np.pi, 2 * np.pi) - np.pi, 0, atol=1e-9)
 
 
-REFERENCES = build_profile_set("temperley").profile_tivs
 FRAMES = ChromaSequence(np.random.default_rng(5).uniform(size=(8, 12)), frame_rate=10.0)
 BATCH = tiv_from_chroma(FRAMES.frames)
 
@@ -491,9 +514,9 @@ HOLDERS = {
         lambda a: HarmonicChangeSeries(a, 0.5), lambda: np.ones(3)),
     "KeyResult.distances": (KeyResult, lambda: np.ones(24)),
     "KeyProfileSet.major_profile": (
-        lambda a: KeyProfileSet("p", a, np.ones(12), 0.5, REFERENCES), lambda: np.ones(12)),
+        lambda a: KeyProfileSet("p", a, np.ones(12), 0.5), lambda: np.ones(12)),
     "KeyProfileSet.minor_profile": (
-        lambda a: KeyProfileSet("p", np.ones(12), a, 0.5, REFERENCES), lambda: np.ones(12)),
+        lambda a: KeyProfileSet("p", np.ones(12), a, 0.5), lambda: np.ones(12)),
 }
 
 

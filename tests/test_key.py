@@ -1,7 +1,9 @@
 """Tests for key-profile sets and 24-key estimation."""
 
 import hashlib
+import inspect
 import json
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -11,6 +13,7 @@ from tonalspace import (
     DEFAULT_WEIGHTS,
     ChromaError,
     DegenerateInputError,
+    KeyProfileSet,
     KeyResult,
     Tiv,
     UnknownProfileError,
@@ -122,31 +125,26 @@ class TestProfileSets:
             build_profile_set("h")
 
     def test_custom_profile(self):
-        ps = build_profile_set(
-            "custom",
-            alpha_override=0.4,
-            major_profile=np.arange(1.0, 13.0),
-            minor_profile=np.arange(12.0, 0.0, -1.0),
-        )
+        ps = KeyProfileSet("custom", np.arange(1.0, 13.0), np.arange(12.0, 0.0, -1.0), 0.4)
         assert ps.alpha == 0.4
         assert len(ps.profile_tivs) == 24
 
     @pytest.mark.parametrize("name", ["temperley", "house"])
     def test_given_arrays_build_the_set_whatever_its_name(self, name):
-        """The arrays choose a custom set; the name, bundled or not, only labels it."""
+        """The arrays build the set; its name, bundled or not, only labels it."""
         major, minor = np.arange(1.0, 13.0), np.arange(12.0, 0.0, -1.0)
-        ps = build_profile_set(name, 0.4, major_profile=major, minor_profile=minor)
+        ps = KeyProfileSet(name, major, minor, 0.4)
         assert ps.name == name and ps.alpha == 0.4
         assert np.array_equal(ps.major_profile, major)
         assert np.array_equal(ps.minor_profile, minor)
-        custom = build_profile_set("custom", 0.4, major_profile=major, minor_profile=minor)
-        assert np.array_equal(ps.profile_tivs.coeffs, custom.profile_tivs.coeffs)
-        with pytest.raises(ChromaError, match="requires major_profile, minor_profile"):
-            build_profile_set(name, major_profile=major, minor_profile=minor)
+        rotations = [np.roll(p, r) for p in (major, minor) for r in range(12)]
+        assert np.array_equal(ps.profile_tivs.coeffs, tiv_from_chroma(np.array(rotations)).coeffs)
+        with pytest.raises(ChromaError, match="alpha"):
+            KeyProfileSet(name, major, minor, None)
 
     def test_custom_profile_requires_all_parts(self):
         with pytest.raises(ChromaError):
-            build_profile_set("custom", major_profile=np.ones(12))
+            KeyProfileSet("custom", np.ones(12), None, 0.5)
 
     def test_profile_dir_env_override(self, tmp_path, monkeypatch):
         data = {
@@ -331,6 +329,63 @@ class TestEstimateKey:
             assert result.index == best
 
 
+G_MAJOR = np.roll(build_profile_set("temperley").major_profile, 7)
+
+
+class TestKeyProfileSet:
+    """``KeyProfileSet(name, major, minor, alpha, weights)`` checks its arrays and
+    derives its 24 references, whether built by hand or by ``build_profile_set``."""
+
+    @pytest.mark.parametrize("name", ["temperley", "shaath"])
+    def test_a_hand_built_set_shares_the_loaded_references(self, name):
+        loaded = build_profile_set(name)
+        ps = KeyProfileSet(name, loaded.major_profile, loaded.minor_profile, loaded.alpha)
+        assert ps.profile_tivs is loaded.profile_tivs
+        assert ps.weights is ps.profile_tivs.weights is DEFAULT_WEIGHTS
+
+    def test_the_weights_held_are_the_references_weights(self):
+        w = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        for ps in (KeyProfileSet("p", G_MAJOR, np.ones(12), 0.5, w),
+                   build_profile_set("temperley", weights=w)):
+            assert ps.weights is ps.profile_tivs.weights
+            assert np.array_equal(ps.weights, w) and not ps.weights.flags.writeable
+
+    def test_the_references_are_derived_not_given(self):
+        assert not next(f for f in fields(KeyProfileSet) if f.name == "profile_tivs").init
+        refs = build_profile_set("temperley").profile_tivs
+        with pytest.raises(TypeError):
+            KeyProfileSet("p", G_MAJOR, np.ones(12), 0.5, DEFAULT_WEIGHTS, refs)
+        assert list(inspect.signature(build_profile_set).parameters) == [
+            "name", "alpha_override", "weights"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((G_MAJOR, np.ones(12), float("nan")), "alpha"),
+            ((G_MAJOR, np.ones(12), -1.0), "alpha"),
+            ((G_MAJOR, np.ones(12), 0), "alpha"),
+            ((G_MAJOR, np.ones(12), "0.5"), "alpha"),
+            ((np.ones(11), np.ones(12), 0.5), "12 bins"),
+            ((G_MAJOR, -np.ones(12), 0.5), "nonnegative"),
+            ((G_MAJOR, "C major", 0.5), "numbers"),
+            ((G_MAJOR, np.ones(12), 0.5, np.ones(3)), "weights"),
+            # the profiles are checked before alpha, and alpha before the weights
+            ((np.ones(11), np.ones(12), -1.0, np.ones(3)), "12 bins"),
+            ((G_MAJOR, np.ones(12), -1.0, np.ones(3)), "alpha"),
+        ],
+        ids=["alpha-nan", "alpha-negative", "alpha-zero", "alpha-string", "profile-11",
+             "profile-negative", "profile-string", "weights-3", "profile-first", "alpha-second"],
+    )
+    def test_a_hand_built_set_is_checked(self, args, message):
+        with pytest.raises(ChromaError, match=message):
+            KeyProfileSet("p", *args)
+
+    def test_a_hand_built_set_labels_its_own_profile(self):
+        loaded = build_profile_set("temperley")
+        ps = KeyProfileSet("p", loaded.major_profile, loaded.minor_profile, 0.2)
+        assert estimate_key(tiv_from_chroma(G_MAJOR), ps).label == "G major"
+
+
 class TestKeyResult:
     """``KeyResult(distances)`` derives the key from its 24 distances."""
 
@@ -361,6 +416,22 @@ class TestKeyResult:
     def test_distances_must_be_24_numbers(self, distances):
         with pytest.raises(ChromaError, match="key distances"):
             KeyResult(distances)
+
+    @pytest.mark.parametrize(
+        "where, value", [(0, np.nan), (7, np.nan), (23, np.nan), (slice(None), np.nan), (5, -1.0)],
+        ids=["nan-0", "nan-7", "nan-23", "all-nan", "negative"],
+    )
+    def test_nan_and_negative_distances_are_refused(self, where, value):
+        distances = np.ones(24)
+        distances[where] = value
+        with pytest.raises(ChromaError, match="nonnegative"):
+            KeyResult(distances)
+
+    def test_infinite_minor_distances_leave_a_major_key(self):
+        # an overflowing alpha makes every minor distance infinite
+        distances = np.concatenate([np.full(12, 2.0), np.full(12, np.inf)])
+        distances[4] = 1.0
+        assert KeyResult(distances).label == "E major"
 
     def test_only_the_distances_are_given(self):
         with pytest.raises(TypeError):
