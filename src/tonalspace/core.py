@@ -265,13 +265,14 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
     with np.errstate(over="ignore"):  # an infinite energy is refused by Tiv
         energy = frames.sum(axis=1)
     silent = energy == 0.0
-    scale = np.where(silent, 1.0, energy)[:, None]
+    scale = (energy + silent)[:, None]  # a silent row divides by 1.0, any other by its energy
     out = np.empty(c.shape[:-1] + (N_COEFFS,), complex)
     coeffs = out.reshape(-1, N_COEFFS)  # the rows of ``out``, also of one vector
     for rows in _row_blocks(len(frames)):
         spectrum = np.fft.fft(frames[rows] / scale[rows], axis=1)
         coeffs[rows] = spectrum[:, 1 : N_COEFFS + 1] * w
-    coeffs[silent] = 0.0
+    if silent.any():
+        coeffs[silent] = 0.0
     energy = energy[0] if c.ndim == 1 else _readonly(energy)
     return Tiv(coeffs=_readonly(out), energy=energy, weights=w)
 

@@ -29,8 +29,8 @@ a stray numpy error or warning:
   power that overflows the float range is refused; both errors name the
   file.  A WAV that scipy reads with a format warning is read without it.  An
   alpha so large that alpha * T overflows makes every minor distance
-  infinite, so a major key wins (the alpha -> infinity limit).  A hand-built
-  ``KeyProfileSet`` is checked as a loaded one is: chroma profiles, alpha, weights.
+  infinite, so a major key wins (the alpha -> infinity limit).  ``KeyProfileSet`` is
+  the one check of a set, by hand or loaded: profiles (named), alpha, weights.
 - Boolean and string arrays are not chroma, weights, profiles, ``Tiv``, key
   distances or change values (numpy reads ``"1"`` as 1.0); JSON files refuse
   booleans and strings as values.  CSV cells are text by nature and are

@@ -9,11 +9,11 @@ and mode from r: 0..11 are C..B major, 12..23 are C..B minor.
 
 Profile tables ship as JSON data files (``profiles/``) rather than inline
 constants so their provenance stays auditable; ``TONALSPACE_PROFILE_DIR``
-points the loader at an alternative directory.
-
-A ``KeyProfileSet`` checks its arrays and derives its 24 references, memoised by
-their contents, so a process computes them once per distinct set.  ``build_profile_set``
-rereads the named file on every call, so an edited override file takes effect at once.
+points the loader at an alternative directory.  ``build_profile_set`` reads
+the named file on every call, so an edited override file takes effect at once.
+A ``KeyProfileSet`` is the one check of its profiles (a refusal names the
+``major`` or ``minor`` one), alpha and weights, and derives its 24 references,
+memoised by their contents, so a process computes them once per distinct set.
 """
 
 from __future__ import annotations
@@ -62,12 +62,17 @@ class KeyProfileSet:
     profile_tivs: Tiv = field(init=False)
 
     def __post_init__(self):
-        major, minor = (_frozen(as_chroma(p)) for p in (self.major_profile, self.minor_profile))
+        out = {}
+        for mode in ("major", "minor"):  # an array the check made is held without a copy
+            given = getattr(self, f"{mode}_profile")
+            try:
+                arr = as_chroma(given)
+            except ChromaError as exc:
+                raise ChromaError(f"{mode}: {exc}") from None
+            out[f"{mode}_profile"] = _frozen(arr if arr is given else _readonly(arr))
         alpha = _as_real(self.alpha, "alpha", positive=True)
-        tivs = _references(major.tobytes(), minor.tobytes(), as_weights(self.weights).tobytes())
-        fields = dict(major_profile=major, minor_profile=minor, alpha=alpha,
-                      weights=tivs.weights, profile_tivs=tivs)
-        for name, value in fields.items():
+        tivs = _references(*(a.tobytes() for a in (*out.values(), as_weights(self.weights))))
+        for name, value in dict(out, alpha=alpha, weights=tivs.weights, profile_tivs=tivs).items():
             object.__setattr__(self, name, value)
 
 
@@ -98,12 +103,7 @@ class KeyResult:
         return f"{PITCH_CLASS_NAMES[self.tonic]} {self.mode}"
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "tonic": self.tonic,
-            "mode": self.mode,
-            "label": self.label,
-        }
+        return {"index": self.index, "tonic": self.tonic, "mode": self.mode, "label": self.label}
 
 
 def _profile_path(name: str) -> str:
@@ -121,33 +121,38 @@ def _profile_path(name: str) -> str:
     return os.path.join(_BUNDLED_DIR, f"{name}.json")
 
 
+def _read_profile_set(path, name: str) -> KeyProfileSet:
+    """The set in a profile file; a refusal of its fields starts ``profile file <path>: ``."""
+    data = _json_object(path, "profile file", ("name", "major", "minor", "alpha"))
+    try:
+        return KeyProfileSet(name, data["major"], data["minor"], data["alpha"])
+    except ChromaError as exc:
+        raise ChromaError(f"profile file {path}: {exc}") from None
+
+
 def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
     """Read and check a profile data file into float ``(major, minor, alpha)``.
 
     Schema: {"name": str, "major": [12 numbers], "minor": [12 numbers],
     "alpha": positive finite number}; extra keys (e.g. "source") and a
-    leading BOM are ignored.  The arrays are read-only, so a KeyProfileSet holds them.
+    leading BOM are ignored.  They are checked once, by the KeyProfileSet they build.
     """
-    data = _json_object(path, "profile file", ("name", "major", "minor", "alpha"))
-    for mode in ("major", "minor"):
-        try:
-            data[mode] = _readonly(as_chroma(data[mode]))
-        except ChromaError as exc:
-            raise ChromaError(f"profile file {path}: {mode}: {exc}") from None
-    alpha = _as_real(data["alpha"], f"profile file {path}: alpha", positive=True)
-    return data["major"], data["minor"], alpha
+    ps = _read_profile_set(path, os.fspath(path))
+    return ps.major_profile, ps.minor_profile, ps.alpha
 
 
 def build_profile_set(name: str, alpha_override=None, *, weights=DEFAULT_WEIGHTS) -> KeyProfileSet:
     """Load the named key profile set: one of the bundled sets ("temperley",
     alpha 0.2; "shaath", alpha 0.55) or any ``<name>.json`` under
     ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
-    ``alpha_override``, when given, replaces the file's alpha.  A set of other
-    arrays is built with ``KeyProfileSet`` itself.
+    ``alpha_override``, when given, replaces the file's alpha (still checked).
+    A set of other arrays is built with ``KeyProfileSet`` itself.
     """
-    major, minor, alpha = load_profile_file(_profile_path(name))
-    alpha = alpha if alpha_override is None else alpha_override
-    return KeyProfileSet(name, major, minor, alpha, weights)
+    ps = _read_profile_set(_profile_path(name), name)
+    if alpha_override is None and weights is DEFAULT_WEIGHTS:
+        return ps
+    alpha = ps.alpha if alpha_override is None else alpha_override
+    return KeyProfileSet(name, ps.major_profile, ps.minor_profile, alpha, weights)
 
 
 @functools.lru_cache(maxsize=16)

@@ -187,6 +187,30 @@ class TestTivConstruction:
         assert t.energy == 0.0
         assert np.array_equal(t.coeffs, np.zeros(6, dtype=complex))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_bits_equal_the_reference_formula(self, rng, scale):
+        """Each row divided by ``np.where(silent, 1.0, energy)``, then every silent
+        row zeroed: the same bytes, so a -0.0 left in a silent row fails."""
+        def reference(frames, w=DEFAULT_WEIGHTS):
+            energy = frames.sum(axis=1)
+            silent = energy == 0.0
+            spectrum = np.fft.fft(frames / np.where(silent, 1.0, energy)[:, None], axis=1)
+            coeffs = spectrum[:, 1:7] * w
+            coeffs[silent] = 0.0
+            return coeffs, energy
+
+        batch = rng.random((64, 12)) * scale
+        batch[rng.random(64) < 0.25] = 0.0
+        batch[5], batch[9] = -0.0, np.where(np.arange(12) % 2, -0.0, 0.0)
+        for frames in (batch, batch[~batch.any(axis=1)], batch[batch.any(axis=1)]):
+            t, (coeffs, energy) = tiv_from_chroma(frames), reference(frames)
+            assert t.coeffs.tobytes() == coeffs.tobytes()
+            assert t.energy.tobytes() == energy.tobytes()
+        for row in (*batch[:12], np.zeros(12), -np.zeros(12), binary_chroma([0]) * scale):
+            t, (coeffs, energy) = tiv_from_chroma(row), reference(row[None, :])
+            assert t.coeffs.tobytes() == coeffs[0].tobytes()
+            assert np.float64(t.energy).tobytes() == energy[0].tobytes()
+
     def test_oracle_equivalence_on_random_chroma(self, rng):
         for _ in range(200):
             c = random_chroma(rng)

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import os
 from dataclasses import fields
 from importlib import resources
 
@@ -18,12 +19,15 @@ from tonalspace import (
     Tiv,
     UnknownProfileError,
     WeightMismatchError,
+    as_chroma,
     build_profile_set,
     estimate_key,
     mag,
     tiv_from_chroma,
     transpose,
 )
+
+import tonalspace.key as key_module
 from tonalspace.key import PITCH_CLASS_NAMES, PROFILE_DIR_ENV, load_profile_file
 
 from helpers import MAJOR_TRIAD, random_chroma
@@ -379,6 +383,72 @@ class TestKeyProfileSet:
     def test_a_hand_built_set_is_checked(self, args, message):
         with pytest.raises(ChromaError, match=message):
             KeyProfileSet("p", *args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((np.ones(11), np.ones(12), 0.5),
+             "major: chroma must have exactly 12 bins, got shape (11,)"),
+            ((G_MAJOR, -np.ones(12), 0.5), "minor: chroma bins must be nonnegative"),
+            ((G_MAJOR, ["1"] * 12, -1.0), "minor: chroma bins must be numbers, got <U1 values"),
+        ],
+        ids=["major-11", "minor-negative", "minor-strings"],
+    )
+    def test_a_refused_profile_is_named(self, args, message):
+        with pytest.raises(ChromaError) as info:
+            KeyProfileSet("p", *args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "name, file, args, calls, message",
+        [
+            ("temperley", None, {}, 2, None),
+            ("house", {}, {}, 2, None),
+            ("temperley", None, {"alpha_override": 0.9}, 4, None),
+            ("house", {"major": [1] * 11}, {}, 1,
+             "{file}: major: chroma must have exactly 12 bins, got shape (11,)"),
+            ("house", {"minor": [-1] * 12}, {}, 2,
+             "{file}: minor: chroma bins must be nonnegative"),
+            ("house", {"alpha": float("inf")}, {}, 2,
+             "{file}: alpha must be a positive finite number, got inf"),
+            ("house", {"alpha": True}, {}, 2, "{file}: alpha must be a number, got True"),
+            ("house", {"alpha": -1}, {}, 2,
+             "{file}: alpha must be a positive finite number, got -1.0"),
+            # an argument is refused in its own words, without the file's prefix
+            ("temperley", None, {"alpha_override": -1.0}, 4,
+             "alpha must be a positive finite number, got -1.0"),
+            ("temperley", None, {"weights": [1, 2, 3]}, 4,
+             "weights must have exactly 6 entries, got shape (3,)"),
+            # profiles, then the file's alpha, then the override, then the weights
+            ("house", {"major": [1] * 11, "alpha": -1}, {"alpha_override": -1.0, "weights": [1]},
+             1, "{file}: major: chroma must have exactly 12 bins, got shape (11,)"),
+            ("house", {"alpha": -1}, {"alpha_override": -1.0, "weights": [1]}, 2,
+             "{file}: alpha must be a positive finite number, got -1.0"),
+            ("house", {}, {"alpha_override": -2.0, "weights": [1]}, 4,
+             "alpha must be a positive finite number, got -2.0"),
+        ],
+        ids=["bundled", "file", "override", "file-major", "file-minor", "file-alpha-inf",
+             "file-alpha-true", "file-alpha-negative", "bad-override", "bad-weights",
+             "profiles-first", "file-alpha-second", "override-third"],
+    )
+    def test_a_profile_file_is_checked_once(self, tmp_path, monkeypatch, name, file, args,
+                                            calls, message):
+        """Each profile array goes through ``as_chroma`` once per set built; a
+        refusal of a file field reads ``profile file <path>: <reason>``."""
+        if file is not None:
+            good = {"name": name, "major": list(G_MAJOR), "minor": [1.0] * 12, "alpha": 0.5}
+            (tmp_path / f"{name}.json").write_text(json.dumps({**good, **file}))
+            monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
+        seen = []
+        monkeypatch.setattr(key_module, "as_chroma", lambda p: seen.append(p) or as_chroma(p))
+        if message is None:
+            build_profile_set(name, **args)
+        else:
+            with pytest.raises(ChromaError) as info:
+                build_profile_set(name, **args)
+            prefix = f"profile file {os.path.join(str(tmp_path), name + '.json')}"
+            assert str(info.value) == message.format(file=prefix)
+        assert len(seen) == calls
 
     def test_a_hand_built_set_labels_its_own_profile(self):
         loaded = build_profile_set("temperley")
