@@ -165,7 +165,7 @@ def _json_report(head: dict, peaks: list, columns):
 def cmd_analyze(args) -> int:
     weights = _parse_weights(args.weights)
     threshold = _parse_threshold(args.threshold)
-    profiles = build_profile_set(args.profile, _parse_alpha(args.alpha), weights=weights)
+    profiles = build_profile_set(args.profile, _parse_alpha(args.alpha))
     if args.window_avg < 1:
         raise UsageError("--window-avg must be a positive integer")
 
@@ -232,7 +232,7 @@ def _global_tiv(path, args, weights):
 def cmd_key(args) -> int:
     """One key per input; a bad input reports its error and the rest still run."""
     weights = _parse_weights(args.weights)
-    profiles = build_profile_set(args.profile, _parse_alpha(args.alpha), weights=weights)
+    profiles = build_profile_set(args.profile, _parse_alpha(args.alpha))
     several = len(args.inputs) > 1
     code = 0
     for path in args.inputs:

@@ -30,13 +30,13 @@ a stray numpy error or warning:
   file.  A WAV that scipy reads with a format warning is read without it.  An
   alpha so large that alpha * T overflows makes every minor distance
   infinite, so a major key wins (the alpha -> infinity limit).  ``KeyProfileSet`` is
-  the one check of a set, by hand or loaded: profiles (named), alpha, weights.
+  the one check of a set, by hand or loaded: profiles (named), then alpha.
 - Boolean and string arrays are not chroma, weights, profiles, ``Tiv``, key
   distances or change values (numpy reads ``"1"`` as 1.0); JSON files refuse
   booleans and strings as values.  CSV cells are text by nature and are
   parsed as numbers.  A leading BOM in any of these files is ignored.
-- A profile name that is neither bundled nor a ``<name>.json`` in
-  ``$TONALSPACE_PROFILE_DIR`` raises UnknownProfileError (CLI exit 2).  A file that
+- A profile name that is neither bundled nor a bare name (no directory part) with a
+  ``<name>.json`` in ``$TONALSPACE_PROFILE_DIR`` raises UnknownProfileError (exit 2).  A file that
   cannot be read, decoded or parsed as JSON raises ChromaError (exit 1) worded
   ``cannot read <what> <path>: <reason>``; a JSON non-object or missing field says so.
   Other refusals of a chroma file's content start ``<path>: `` (a CSV or JSON
@@ -59,7 +59,7 @@ class UnknownProfileError(ChromaError):
 
 
 class WeightMismatchError(TonalSpaceError):
-    """Operands were built with different interval weight vectors."""
+    """Operands of euclid, the cosine, combine or a harmonic_change list differ in weights."""
 
 
 class DegenerateInputError(TonalSpaceError):

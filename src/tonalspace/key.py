@@ -12,8 +12,9 @@ constants so their provenance stays auditable; ``TONALSPACE_PROFILE_DIR``
 points the loader at an alternative directory.  ``build_profile_set`` reads
 the named file on every call, so an edited override file takes effect at once.
 A ``KeyProfileSet`` is the one check of its profiles (a refusal names the
-``major`` or ``minor`` one), alpha and weights, and derives its 24 references,
-memoised by their contents, so a process computes them once per distinct set.
+``major`` or ``minor`` one) and alpha.  ``estimate_key`` compares a query with
+the set's 24 references under the query's own weights; they are memoised by
+the contents of the profiles and weights, so a process computes them once each.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core import (
     _as_real,
     _frozen,
     _readonly,
-    _require_same_weights,
     _require_single,
     as_chroma,
     as_weights,
@@ -50,30 +50,30 @@ PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#",
 
 @dataclass(frozen=True, eq=False)
 class KeyProfileSet:
-    """``KeyProfileSet(name, major_profile, minor_profile, alpha, weights)``: a named,
-    checked major/minor profile pair and bias, and their 24 references as one batched
-    Tiv, ``profile_tivs`` (row r: 0..11 major rotations, 12..23 minor rotations)."""
+    """``KeyProfileSet(name, major_profile, minor_profile, alpha)``: a named, checked
+    major/minor profile pair and bias."""
 
     name: str
     major_profile: np.ndarray
     minor_profile: np.ndarray
     alpha: float
-    weights: np.ndarray = field(default_factory=lambda: DEFAULT_WEIGHTS)
-    profile_tivs: Tiv = field(init=False)
 
     def __post_init__(self):
-        out = {}
         for mode in ("major", "minor"):  # an array the check made is held without a copy
-            given = getattr(self, f"{mode}_profile")
+            name = f"{mode}_profile"
+            given = getattr(self, name)
             try:
                 arr = as_chroma(given)
             except ChromaError as exc:
                 raise ChromaError(f"{mode}: {exc}") from None
-            out[f"{mode}_profile"] = _frozen(arr if arr is given else _readonly(arr))
-        alpha = _as_real(self.alpha, "alpha", positive=True)
-        tivs = _references(*(a.tobytes() for a in (*out.values(), as_weights(self.weights))))
-        for name, value in dict(out, alpha=alpha, weights=tivs.weights, profile_tivs=tivs).items():
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _frozen(arr if arr is given else _readonly(arr)))
+        object.__setattr__(self, "alpha", _as_real(self.alpha, "alpha", positive=True))
+        self.references()  # refuses a profile whose bin sum overflows, as a chroma is refused
+
+    def references(self, weights=DEFAULT_WEIGHTS) -> Tiv:
+        """The 24 references under ``weights``, one batch (rows 0..11 major, 12..23 minor)."""
+        return _references(self.major_profile.tobytes(), self.minor_profile.tobytes(),
+                            as_weights(weights).tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +107,9 @@ class KeyResult:
 
 
 def _profile_path(name: str) -> str:
-    """The file holding profile set ``name``: ``<name>.json`` in the override
-    directory when it is there, else the bundled file of that name."""
-    directory = os.environ.get(PROFILE_DIR_ENV)
+    """The file holding profile set ``name``: ``<name>.json`` in the override directory
+    when it is there and ``name`` is a bare file name, else the bundled file of that name."""
+    directory = os.environ.get(PROFILE_DIR_ENV) if os.path.basename(name) == name else None
     candidate = directory and os.path.join(directory, f"{name}.json")
     if candidate and os.path.exists(candidate):
         return candidate
@@ -141,18 +141,17 @@ def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
     return ps.major_profile, ps.minor_profile, ps.alpha
 
 
-def build_profile_set(name: str, alpha_override=None, *, weights=DEFAULT_WEIGHTS) -> KeyProfileSet:
+def build_profile_set(name: str, alpha_override=None) -> KeyProfileSet:
     """Load the named key profile set: one of the bundled sets ("temperley",
-    alpha 0.2; "shaath", alpha 0.55) or any ``<name>.json`` under
-    ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
-    ``alpha_override``, when given, replaces the file's alpha (still checked).
-    A set of other arrays is built with ``KeyProfileSet`` itself.
+    alpha 0.2; "shaath", alpha 0.55) or, for a bare name, any ``<name>.json`` under
+    ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.  ``alpha_override``,
+    when given, replaces the file's alpha (still checked).  The set holds no weights: its
+    references follow each query's.  A set of other arrays is a ``KeyProfileSet``.
     """
     ps = _read_profile_set(_profile_path(name), name)
-    if alpha_override is None and weights is DEFAULT_WEIGHTS:
+    if alpha_override is None:
         return ps
-    alpha = ps.alpha if alpha_override is None else alpha_override
-    return KeyProfileSet(name, ps.major_profile, ps.minor_profile, alpha, weights)
+    return KeyProfileSet(name, ps.major_profile, ps.minor_profile, alpha_override)
 
 
 @functools.lru_cache(maxsize=16)
@@ -161,17 +160,16 @@ def _references(major: bytes, minor: bytes, weights: bytes) -> Tiv:
     the profiles and weights; row r of each half is ``np.roll(profile, r)``."""
     rotate = (np.arange(12) - np.arange(12)[:, None]) % 12
     profiles = [np.frombuffer(profile)[rotate] for profile in (major, minor)]
-    w = DEFAULT_WEIGHTS if weights == DEFAULT_WEIGHTS.tobytes() else np.frombuffer(weights)
-    return tiv_from_chroma(np.concatenate(profiles), w)
+    return tiv_from_chroma(np.concatenate(profiles), np.frombuffer(weights))
 
 
 def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     """Nearest-reference key estimate for one (unbatched) interval vector.
 
-    The query is compared against all 24 references by Euclidean distance;
-    for the minor references (index >= 12) the query's coefficients are
-    first scaled by ``profiles.alpha``.  Ties break toward the lowest
-    index.  The result is scale-invariant in the source chroma, since the
+    The query is compared against all 24 references, under its own weights,
+    by Euclidean distance; for the minor references (index >= 12) the query's
+    coefficients are first scaled by ``profiles.alpha``.  Ties break toward
+    the lowest index.  The result is scale-invariant in the source chroma, since the
     coefficients themselves are.  Silence and a zero-norm vector (uniform
     chroma, equally far from all 12 references of a mode) are refused.
     """
@@ -180,7 +178,7 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
         raise DegenerateInputError("cannot estimate a key for silence")
     if _sqnorm(t.coeffs) == 0.0:
         raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
-    _require_same_weights(t, profiles.profile_tivs)
+    references = profiles.references(t.weights).coeffs
     with np.errstate(over="ignore"):  # an overflowing alpha * T makes a minor distance inf
         queries = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None]
-        return KeyResult(_readonly(np.sqrt(_sqnorm(queries - profiles.profile_tivs.coeffs))))
+        return KeyResult(_readonly(np.sqrt(_sqnorm(queries - references))))

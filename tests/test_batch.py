@@ -118,7 +118,7 @@ def test_dissonance_matches_per_vector_norm(rng):
 def test_key_distances_match_per_reference_norm(rng):
     for name in ("temperley", "shaath"):
         profiles = build_profile_set(name)
-        refs = profiles.profile_tivs.coeffs
+        refs = profiles.references().coeffs
         for r in range(12):
             major = tiv_from_chroma(np.roll(profiles.major_profile, r))
             minor = tiv_from_chroma(np.roll(profiles.minor_profile, r))

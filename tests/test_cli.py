@@ -404,6 +404,27 @@ class TestKey:
             "shaath or provide custom.json in $TONALSPACE_PROFILE_DIR\n"
         )
 
+    def test_a_profile_name_stays_inside_the_override_directory(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """Only a bare name is looked up in $TONALSPACE_PROFILE_DIR; a name with a
+        directory part is unknown unless bundled, however the file it names exists."""
+        data = {"name": "house", "major": TEMPERLEY_MAJOR, "minor": [1.0] * 12, "alpha": 1}
+        for folder in ("dir", "other"):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "house.json").write_text(json.dumps(data))
+        monkeypatch.setenv("TONALSPACE_PROFILE_DIR", str(tmp_path / "dir"))
+        path = tmp_path / "prof.csv"
+        write_chroma_csv(path, [TEMPERLEY_MAJOR])
+        for name in (str(tmp_path / "other" / "house"), "../other/house"):
+            assert main(["key", str(path), "--profile", name]) == 2
+            assert capsys.readouterr().err == (
+                f"tonalspace: error: unknown profile {name!r}; use one of temperley, "
+                f"shaath or provide {name}.json in $TONALSPACE_PROFILE_DIR\n"
+            )
+        for name in ("house", "temperley", "shaath"):
+            assert main(["key", str(path), "--profile", name]) == 0
+        assert capsys.readouterr().out == "0 C major\n" * 3
+
     def test_overflowing_sum_exit_1_without_warning(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         write_chroma_csv(path, [np.full(12, 1e308)])

@@ -5,8 +5,10 @@ the per-frame implementation, before the interval-vector pipeline was
 batched, so a refactor that changes any printed digit fails here.  They
 are gzip-compressed (the float text is long) and compared byte for byte
 after decompression.  Do not rewrite them to make a refactor pass; a
-deliberate change of output format is the only reason to recapture them,
-with ``PYTHONPATH=src python tests/test_golden.py``.
+deliberate change of output format is the only reason to recapture them.
+``PYTHONPATH=src python tests/test_golden.py`` writes the file of each case
+that has none; where a file exists with other bytes it writes nothing, prints
+the case name and exits 1, so a case is recaptured by deleting its file first.
 
 Inputs: ``fixture.csv``, plus ``golden/song.csv`` (2000 seeded frames with
 a header row and silent gaps), ``golden/clip.json`` (its first 40 frames
@@ -55,6 +57,9 @@ CASES = {
     "key-song-temperley": ["key", SONG, "--profile", "temperley"],
     "key-song-shaath": ["key", SONG, "--profile", "shaath"],
     "key-song-alpha": ["key", SONG, "--alpha", "0.9"],
+    "key-song-weights": [
+        "key", SONG, "--profile", "shaath", "--weights", "1,2,3,4,5,6", "--alpha", "0.9",
+    ],
     "key-tone": ["key", TONE],
     "combine-two": ["combine", "fixture.csv", SONG],
     "combine-three-out": ["combine", "fixture.csv", SONG, TONE, "--out", "{out}"],
@@ -164,7 +169,13 @@ if __name__ == "__main__":
     if not (GOLDEN / "song.csv").exists():
         _write_inputs()
     tmp = GOLDEN / "out" / "tmp.out"
+    changed = []
     for case, args in CASES.items():
-        golden_path(case).write_bytes(gzip.compress(run_case(args, tmp), mtime=0))
+        got, path = run_case(args, tmp), golden_path(case)
+        if not path.exists():
+            path.write_bytes(gzip.compress(got, mtime=0))
+        elif gzip.decompress(path.read_bytes()) != got:
+            changed.append(case)
+            print(case)
     tmp.unlink(missing_ok=True)
-    sys.exit(0)
+    sys.exit(1 if changed else 0)

@@ -18,7 +18,6 @@ from tonalspace import (
     KeyResult,
     Tiv,
     UnknownProfileError,
-    WeightMismatchError,
     as_chroma,
     build_profile_set,
     estimate_key,
@@ -28,6 +27,7 @@ from tonalspace import (
 )
 
 import tonalspace.key as key_module
+from tonalspace.descriptors import _sqnorm
 from tonalspace.key import PITCH_CLASS_NAMES, PROFILE_DIR_ENV, load_profile_file
 
 from helpers import MAJOR_TRIAD, random_chroma
@@ -50,7 +50,7 @@ class TestProfileSets:
     def test_temperley_defaults(self):
         ps = build_profile_set("temperley")
         assert ps.alpha == 0.2
-        assert len(ps.profile_tivs) == 24
+        assert len(ps.references()) == 24
         assert ps.major_profile.shape == (12,)
 
     def test_shaath_defaults(self):
@@ -64,9 +64,9 @@ class TestProfileSets:
         for r in range(12):
             want_major = tiv_from_chroma(np.roll(ps.major_profile, r))
             want_minor = tiv_from_chroma(np.roll(ps.minor_profile, r))
-            assert np.allclose(ps.profile_tivs[r].coeffs, want_major.coeffs, atol=1e-12)
+            assert np.allclose(ps.references()[r].coeffs, want_major.coeffs, atol=1e-12)
             assert np.allclose(
-                ps.profile_tivs[12 + r].coeffs, want_minor.coeffs, atol=1e-12
+                ps.references()[12 + r].coeffs, want_minor.coeffs, atol=1e-12
             )
 
     @pytest.mark.parametrize(
@@ -78,29 +78,29 @@ class TestProfileSets:
         """The memoised references are bit-identical to building the 24
         rotations with np.roll, and a second call reuses them."""
         kwargs = {} if weights is None else {"weights": weights}
-        ps = build_profile_set(name, **kwargs)
+        ps = build_profile_set(name)
         rotations = [
             np.roll(profile, r)
             for profile in (ps.major_profile, ps.minor_profile)
             for r in range(12)
         ]
         want = tiv_from_chroma(np.array(rotations), **kwargs)
-        got = ps.profile_tivs
+        got = ps.references(**kwargs)
         assert np.array_equal(got.coeffs, want.coeffs)
         assert np.array_equal(got.energy, want.energy)
         assert np.array_equal(got.weights, want.weights)
-        assert build_profile_set(name, **kwargs).profile_tivs is got
+        assert build_profile_set(name).references(**kwargs) is got
 
     def test_index_zero_is_unrotated_major(self):
         ps = build_profile_set("temperley")
         want = tiv_from_chroma(ps.major_profile)
-        assert np.array_equal(ps.profile_tivs[0].coeffs, want.coeffs)
+        assert np.array_equal(ps.references()[0].coeffs, want.coeffs)
 
     def test_rotations_share_magnitudes(self):
         ps = build_profile_set("shaath")
-        base = mag(ps.profile_tivs[0])
+        base = mag(ps.references()[0])
         for r in range(12):
-            assert np.allclose(mag(ps.profile_tivs[r]), base, atol=1e-12)
+            assert np.allclose(mag(ps.references()[r]), base, atol=1e-12)
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ChromaError):
@@ -131,7 +131,7 @@ class TestProfileSets:
     def test_custom_profile(self):
         ps = KeyProfileSet("custom", np.arange(1.0, 13.0), np.arange(12.0, 0.0, -1.0), 0.4)
         assert ps.alpha == 0.4
-        assert len(ps.profile_tivs) == 24
+        assert len(ps.references()) == 24
 
     @pytest.mark.parametrize("name", ["temperley", "house"])
     def test_given_arrays_build_the_set_whatever_its_name(self, name):
@@ -142,7 +142,7 @@ class TestProfileSets:
         assert np.array_equal(ps.major_profile, major)
         assert np.array_equal(ps.minor_profile, minor)
         rotations = [np.roll(p, r) for p in (major, minor) for r in range(12)]
-        assert np.array_equal(ps.profile_tivs.coeffs, tiv_from_chroma(np.array(rotations)).coeffs)
+        assert np.array_equal(ps.references().coeffs, tiv_from_chroma(np.array(rotations)).coeffs)
         with pytest.raises(ChromaError, match="alpha"):
             KeyProfileSet(name, major, minor, None)
 
@@ -309,17 +309,24 @@ class TestEstimateKey:
         assert np.isfinite(result.distances[:12]).all()
         assert np.isinf(result.distances[12:]).all()
 
-    def test_default_weights_are_shared_with_the_references(self):
-        assert build_profile_set("temperley").profile_tivs.weights is DEFAULT_WEIGHTS
-
-    def test_weight_mismatch_rejected(self, temperley):
-        t = tiv_from_chroma(MAJOR_TRIAD, np.arange(1.0, 7.0))
-        with pytest.raises(WeightMismatchError):
-            estimate_key(t, temperley)
+    @pytest.mark.parametrize("name", ["temperley", "shaath"])
+    def test_the_references_follow_the_query_weights(self, name, rng):
+        """The distances are measured to the references under the query's own
+        weights, with the minor rows of the query scaled by alpha."""
+        ps = build_profile_set(name)
+        x = random_chroma(rng)
+        rotations = [np.roll(p, r) for p in (ps.major_profile, ps.minor_profile) for r in range(12)]
+        for w in (np.arange(1.0, 7.0), [0.5, 3.0, 0.25, 2.0, 7.5, 1.0], DEFAULT_WEIGHTS):
+            q = tiv_from_chroma(x, w)
+            refs = tiv_from_chroma(np.array(rotations), w).coeffs
+            scaled = q.coeffs * np.concatenate([np.ones(12), np.full(12, ps.alpha)])[:, None]
+            want = np.sqrt(_sqnorm(scaled - refs))
+            assert estimate_key(q, ps).distances.tobytes() == want.tobytes()
+            assert ps.references(w) is ps.references(list(w))
 
     def test_custom_weights_profile_set(self):
         w = np.arange(2.0, 8.0)
-        ps = build_profile_set("temperley", weights=w)
+        ps = build_profile_set("temperley")
         t = tiv_from_chroma(ps.major_profile, w)
         assert estimate_key(t, ps).index == 0
 
@@ -337,30 +344,31 @@ G_MAJOR = np.roll(build_profile_set("temperley").major_profile, 7)
 
 
 class TestKeyProfileSet:
-    """``KeyProfileSet(name, major, minor, alpha, weights)`` checks its arrays and
-    derives its 24 references, whether built by hand or by ``build_profile_set``."""
+    """``KeyProfileSet(name, major, minor, alpha)`` checks its arrays and alpha and
+    derives its 24 references under any weights, whether built by hand or by
+    ``build_profile_set``."""
 
     @pytest.mark.parametrize("name", ["temperley", "shaath"])
     def test_a_hand_built_set_shares_the_loaded_references(self, name):
         loaded = build_profile_set(name)
         ps = KeyProfileSet(name, loaded.major_profile, loaded.minor_profile, loaded.alpha)
-        assert ps.profile_tivs is loaded.profile_tivs
-        assert ps.weights is ps.profile_tivs.weights is DEFAULT_WEIGHTS
+        assert ps.references() is loaded.references()
+        assert np.array_equal(ps.references().weights, DEFAULT_WEIGHTS)
 
     def test_the_weights_held_are_the_references_weights(self):
         w = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-        for ps in (KeyProfileSet("p", G_MAJOR, np.ones(12), 0.5, w),
-                   build_profile_set("temperley", weights=w)):
-            assert ps.weights is ps.profile_tivs.weights
-            assert np.array_equal(ps.weights, w) and not ps.weights.flags.writeable
+        for ps in (KeyProfileSet("p", G_MAJOR, np.ones(12), 0.5), build_profile_set("temperley")):
+            refs = ps.references(w)
+            assert np.array_equal(refs.weights, w) and not refs.weights.flags.writeable
 
     def test_the_references_are_derived_not_given(self):
-        assert not next(f for f in fields(KeyProfileSet) if f.name == "profile_tivs").init
-        refs = build_profile_set("temperley").profile_tivs
+        assert [f.name for f in fields(KeyProfileSet)] == [
+            "name", "major_profile", "minor_profile", "alpha"]
+        refs = build_profile_set("temperley").references()
         with pytest.raises(TypeError):
-            KeyProfileSet("p", G_MAJOR, np.ones(12), 0.5, DEFAULT_WEIGHTS, refs)
+            KeyProfileSet("p", G_MAJOR, np.ones(12), 0.5, refs)
         assert list(inspect.signature(build_profile_set).parameters) == [
-            "name", "alpha_override", "weights"]
+            "name", "alpha_override"]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -372,13 +380,12 @@ class TestKeyProfileSet:
             ((np.ones(11), np.ones(12), 0.5), "12 bins"),
             ((G_MAJOR, -np.ones(12), 0.5), "nonnegative"),
             ((G_MAJOR, "C major", 0.5), "numbers"),
-            ((G_MAJOR, np.ones(12), 0.5, np.ones(3)), "weights"),
-            # the profiles are checked before alpha, and alpha before the weights
-            ((np.ones(11), np.ones(12), -1.0, np.ones(3)), "12 bins"),
-            ((G_MAJOR, np.ones(12), -1.0, np.ones(3)), "alpha"),
+            # the profiles are checked before alpha
+            ((np.ones(11), np.ones(12), -1.0), "12 bins"),
+            ((G_MAJOR, np.ones(12), -1.0), "alpha"),
         ],
         ids=["alpha-nan", "alpha-negative", "alpha-zero", "alpha-string", "profile-11",
-             "profile-negative", "profile-string", "weights-3", "profile-first", "alpha-second"],
+             "profile-negative", "profile-string", "profile-first", "alpha-second"],
     )
     def test_a_hand_built_set_is_checked(self, args, message):
         with pytest.raises(ChromaError, match=message):
@@ -417,18 +424,16 @@ class TestKeyProfileSet:
             # an argument is refused in its own words, without the file's prefix
             ("temperley", None, {"alpha_override": -1.0}, 4,
              "alpha must be a positive finite number, got -1.0"),
-            ("temperley", None, {"weights": [1, 2, 3]}, 4,
-             "weights must have exactly 6 entries, got shape (3,)"),
-            # profiles, then the file's alpha, then the override, then the weights
-            ("house", {"major": [1] * 11, "alpha": -1}, {"alpha_override": -1.0, "weights": [1]},
+            # profiles, then the file's alpha, then the override
+            ("house", {"major": [1] * 11, "alpha": -1}, {"alpha_override": -1.0},
              1, "{file}: major: chroma must have exactly 12 bins, got shape (11,)"),
-            ("house", {"alpha": -1}, {"alpha_override": -1.0, "weights": [1]}, 2,
+            ("house", {"alpha": -1}, {"alpha_override": -1.0}, 2,
              "{file}: alpha must be a positive finite number, got -1.0"),
-            ("house", {}, {"alpha_override": -2.0, "weights": [1]}, 4,
+            ("house", {}, {"alpha_override": -2.0}, 4,
              "alpha must be a positive finite number, got -2.0"),
         ],
         ids=["bundled", "file", "override", "file-major", "file-minor", "file-alpha-inf",
-             "file-alpha-true", "file-alpha-negative", "bad-override", "bad-weights",
+             "file-alpha-true", "file-alpha-negative", "bad-override",
              "profiles-first", "file-alpha-second", "override-third"],
     )
     def test_a_profile_file_is_checked_once(self, tmp_path, monkeypatch, name, file, args,
@@ -449,6 +454,16 @@ class TestKeyProfileSet:
             prefix = f"profile file {os.path.join(str(tmp_path), name + '.json')}"
             assert str(info.value) == message.format(file=prefix)
         assert len(seen) == calls
+
+    def test_a_profile_whose_bin_sum_overflows_is_refused(self, tmp_path, monkeypatch):
+        huge = np.full(12, 1e308)
+        with pytest.raises(ChromaError, match="^energy must be finite"):
+            KeyProfileSet("p", huge, np.ones(12), 0.5)
+        data = {"name": "house", "major": [1.0] * 12, "minor": huge.tolist(), "alpha": 0.5}
+        (tmp_path / "house.json").write_text(json.dumps(data))
+        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
+        with pytest.raises(ChromaError, match="^profile file .*house.json: energy must be finite"):
+            build_profile_set("house")
 
     def test_a_hand_built_set_labels_its_own_profile(self):
         loaded = build_profile_set("temperley")
