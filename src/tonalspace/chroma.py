@@ -1,12 +1,10 @@
 """Chroma file I/O, temporal aggregation, and a minimal WAV extractor.
 
 Framewise chroma is the library's primary input and normally comes from a
-dedicated extractor (HPCP, NNLS, ...) via CSV or JSON; the analysis code is
-agnostic to how the chroma was produced.  The built-in WAV extractor here is
-deliberately simple -- a Hann-windowed STFT whose bin energies are folded
-into pitch classes, with no harmonic weighting or tuning estimation -- and
-exists so the pipeline can be exercised end to end without an external MIR
-dependency.  Prefer file input for real analyses.
+dedicated extractor (HPCP, NNLS, ...) via CSV or JSON.  The built-in WAV
+extractor -- its own RIFF reader, then a Hann-windowed STFT whose bin powers are
+folded into pitch classes, with no harmonic weighting or tuning estimation --
+runs the pipeline end to end on numpy alone.  Prefer file input for real analyses.
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ import io
 import itertools
 import json
 import math
+import struct
 import sys
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -328,6 +326,43 @@ def window_average(seq: ChromaSequence, n: int) -> ChromaSequence:
     return ChromaSequence(_readonly(blocks), frame_rate=rate)
 
 
+_WAV_DTYPES = {(1, 1): "u1", (1, 2): "<i2", (1, 3): "<i4", (1, 4): "<i4", (1, 8): "<i8",
+               (3, 4): "<f4", (3, 8): "<f8"}  # (format tag: 1 PCM, 3 float; sample bytes)
+
+
+def _read_wav(path):
+    """``(sample rate, samples)`` of a RIFF WAV file: ``(n,)`` samples for mono,
+    ``(n, channels)`` otherwise, of the dtype ``_WAV_DTYPES`` gives its format."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ChromaError(f"cannot read WAV file {path}: {exc}") from exc
+    refused = f"{path}: unsupported WAV file: "
+    fmt, chunk, pos = b"", b"", 20  # pos: the body of the chunk whose header is at pos - 8
+    while raw[:4] == b"RIFF" and raw[8:12] == b"WAVE" and pos <= len(raw):
+        chunk, size = struct.unpack_from("<4sI", raw, pos - 8)
+        if chunk == b"data":
+            break
+        if chunk == b"fmt ":
+            fmt = raw[pos : pos + min(size, 40)]
+        pos += size + size % 2 + 8
+    if chunk != b"data" or len(fmt) < 16:
+        raise ChromaError(refused + "not RIFF WAVE with a full fmt chunk before the data")
+    tag, channels, rate, _, align = struct.unpack_from("<HHIIH", fmt)
+    if tag == 0xFFFE and fmt[28:40] == bytes.fromhex("00001000800000aa00389b71"):
+        tag = int.from_bytes(fmt[24:28], "little")  # the tag in an extensible subformat GUID
+    width = align // channels if channels else 0
+    dtype = _WAV_DTYPES.get((tag, width))
+    if dtype is None:
+        raise ChromaError(refused + f"format tag {tag:#x}, {channels} channels of {width} bytes")
+    count = min(size, len(raw) - pos) // (width * channels) * channels
+    # 3-byte samples: int32 read from the byte before each, which the mask clears
+    data = (np.ndarray((count,), dtype, raw, pos - 1, (3,)) & -256 if width == 3
+            else np.frombuffer(raw, dtype, count, pos))
+    return rate, data if channels == 1 else data.reshape(-1, channels)
+
+
 def _to_float_samples(data: np.ndarray, path) -> np.ndarray:
     """Normalize WAV samples to float64 in about [-1, 1]; b-bit PCM is scaled by 2**(1 - b)."""
     if data.dtype == np.uint8:  # unsigned, centred on 128
@@ -356,9 +391,7 @@ def extract_chroma_wav(
     hop and ``frame_rate = sample_rate / hop_size``.  Stereo channels are
     averaged before analysis.  ``window_size`` must be a power of two.
     The STFT runs in blocks of about 1 MB of samples, so working memory
-    beyond the samples is one frames x band-bins power buffer.  scipy's
-    format warnings (an unknown chunk, a short read) are ignored during the read
-    by ``warnings.catch_warnings``, which acts process-wide, not per thread.
+    beyond the samples is one frames x band-bins power buffer (WAV formats: ``errors.py``).
     """
     window_size = _as_int(window_size, "window_size", minimum=2)
     if window_size & (window_size - 1):
@@ -372,18 +405,9 @@ def extract_chroma_wav(
     if not math.isfinite(fmax / ref_a4):
         raise ChromaError(f"reference A4 frequency {ref_a4!r}: fmax / A4 overflows")
 
-    from scipy.io import wavfile  # imported here: scipy.io is slow to import
-
-    try:
-        with warnings.catch_warnings():  # scipy warns only of a file it can still read
-            warnings.simplefilter("ignore", wavfile.WavFileWarning)
-            sample_rate, data = wavfile.read(path)
-    except OSError as exc:
-        raise ChromaError(f"cannot read WAV file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ChromaError(f"{path}: unsupported WAV file: {exc}") from exc
+    sample_rate, data = _read_wav(path)
     sample_rate = _as_real(sample_rate, f"{path}: sample rate", positive=True)
-    samples = _to_float_samples(np.asarray(data), path)
+    samples = _to_float_samples(data, path)
     if samples.ndim == 2:
         with np.errstate(over="ignore"):  # an infinite mean makes the frames non-finite: refused
             samples = samples.mean(axis=1)

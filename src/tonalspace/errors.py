@@ -27,8 +27,10 @@ a stray numpy error or warning:
   header's sample rate is a positive number, and ``fmax / ref_a4`` must be
   finite.  Float WAV samples are finite, and a channel mean or spectral
   power that overflows the float range is refused; both errors name the
-  file.  A WAV that scipy reads with a format warning is read without it.  An
-  alpha so large that alpha * T overflows makes every minor distance
+  file.  A WAV is RIFF with ``fmt `` before ``data`` (other chunks skipped, a short ``data``
+  read to its last whole frame) of PCM of 1-4 bytes (3 as left-justified int32) or float of
+  4 or 8 (extensible: its subformat); other formats, 0 channels, RIFX and RF64 are refused.
+  An alpha so large that alpha * T overflows makes every minor distance
   infinite, so a major key wins (the alpha -> infinity limit).  ``KeyProfileSet`` is
   the one check of a set, by hand or loaded: profiles (named), then alpha.
 - Boolean and string arrays are not chroma, weights, profiles, ``Tiv``, key

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import struct
 import tracemalloc
 import warnings
 from unittest import mock
@@ -847,7 +848,7 @@ class TestWavExtraction:
             extract_chroma_wav(path)
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ChromaError):
+        with pytest.raises(ChromaError, match=r"^cannot read WAV file .*No such file"):
             extract_chroma_wav(tmp_path / "absent.wav")
 
     def test_zero_sample_rate_rejected(self, tmp_path):
@@ -958,3 +959,187 @@ class TestWavExtraction:
         got = chroma._to_float_samples(data, "x.wav")
         assert got.dtype == np.float64 and got.shape == shape
         assert got.tobytes() == want.tobytes()
+
+
+def scipy_read(path):
+    """``wavfile.read``, the reference reader, with its warnings of a file it can
+    still read (an unknown chunk, a short read) ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)
+        return wavfile.read(path)
+
+
+def riff_bytes(*chunks):
+    """A RIFF WAVE file of ``(chunk id, body)`` pairs, an odd-sized body followed by
+    its pad byte."""
+    body = b"".join(
+        name + struct.pack("<I", len(data)) + data + bytes(len(data) % 2) for name, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_body(tag, channels, width):
+    """The 16-byte ``fmt `` body of ``channels`` channels of ``width``-byte samples at 8 kHz."""
+    align = channels * width
+    return struct.pack("<HHIIHH", tag, channels, 8000, 8000 * align, align, 8 * width)
+
+
+GUID_TAIL = bytes.fromhex("00001000800000aa00389b71")  # of the standard subformat GUIDs
+
+
+def extensible_fmt_body(tag, channels, width, guid_tail=GUID_TAIL):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE ``fmt `` body whose subformat GUID holds ``tag``."""
+    head = bytearray(fmt_body(tag, channels, width))
+    head[:2] = struct.pack("<H", 0xFFFE)
+    return bytes(head) + struct.pack("<HHII", 22, 8 * width, 0, tag) + guid_tail
+
+
+def written_wav(dtype, channels, frames):
+    """The bytes ``wavfile.write`` gives for seeded samples of this shape."""
+    rng = np.random.default_rng(frames * 10 + channels)
+    shape = (frames,) if channels == 1 else (frames, channels)
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        samples = rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+    else:
+        samples = rng.uniform(-1.5, 1.5, shape).astype(dtype)
+    out = io.BytesIO()
+    wavfile.write(out, 8000, samples)
+    return out.getvalue()
+
+
+TONE = pcm16_wav_bytes(8000, 8000 * np.sin(np.arange(601) / 8))
+PCM24 = np.arange(-21, 21).astype("<i4").view(np.uint8).reshape(-1, 4)[:, 1:].tobytes()
+BEXT = b"bext" + struct.pack("<I", 4) + bytes(4)  # the unknown chunk of test_cli's EDGE_ROWS
+
+# files the reader must read as wavfile.read reads them
+READER_CASES = {
+    f"{np.dtype(dtype).name}-{channels}ch-{frames}": written_wav(dtype, channels, frames)
+    for dtype in (np.uint8, np.int16, np.int32, np.int64, np.float32, np.float64)
+    for channels in (1, 2, 3)
+    for frames in (0, 1, 7)
+} | {
+    "24-bit-mono-0": pcm16_wav_bytes(8000, [], width=3),
+    "24-bit-mono-7": pcm16_wav_bytes(8000, np.arange(-3, 4) * 2**20, width=3),
+    "24-bit-2ch": riff_bytes((b"fmt ", fmt_body(1, 2, 3)), (b"data", PCM24)),
+    "24-bit-3ch": riff_bytes((b"fmt ", fmt_body(1, 3, 3)), (b"data", PCM24[:117])),
+    "bext-before-data": TONE[:4] + struct.pack("<I", len(TONE) + len(BEXT) - 8) + TONE[8:36]
+    + BEXT + TONE[36:],
+    "odd-chunk-and-pad": riff_bytes(
+        (b"fmt ", fmt_body(1, 2, 2)), (b"LIST", b"odd"), (b"data", PCM24[:40])
+    ),
+    "odd-24-bit-data-and-pad": riff_bytes(
+        (b"fmt ", fmt_body(1, 1, 3)), (b"data", PCM24[:9]), (b"LIST", b"after")
+    ),
+    "fmt-chunk-of-18": riff_bytes((b"fmt ", fmt_body(1, 1, 2) + bytes(2)), (b"data", PCM24[:8])),
+    "extensible-pcm": riff_bytes((b"fmt ", extensible_fmt_body(1, 2, 2)), (b"data", PCM24[:40])),
+    "extensible-float": riff_bytes((b"fmt ", extensible_fmt_body(3, 1, 4)), (b"data", bytes(16))),
+    "truncated-mono": TONE[:-101],
+    "truncated-24-bit": pcm16_wav_bytes(8000, np.arange(-50, 50) * 2**16, width=3)[:-3],
+}
+
+# files the reader refuses as unsupported, where scipy raised, refused or read garbage
+REFUSED_CASES = {
+    "riff-only": b"RIFF",
+    "empty": b"",
+    "not-wave": TONE[:8] + b"AVI " + TONE[12:],
+    "rifx": b"RIFX" + TONE[4:],
+    "rf64": b"RF64" + TONE[4:],
+    "channels-0": TONE[:22] + bytes(2) + TONE[24:],
+    "block-align-0": TONE[:28] + bytes(6) + TONE[34:],  # and 0 bytes a second
+    "no-fmt-before-data": riff_bytes((b"data", bytes(8)), (b"fmt ", fmt_body(1, 1, 2))),
+    "no-data": riff_bytes((b"fmt ", fmt_body(1, 1, 2))),
+    "fmt-chunk-of-14": riff_bytes((b"fmt ", fmt_body(1, 1, 2)[:14]), (b"data", bytes(8))),
+    "adpcm": riff_bytes((b"fmt ", fmt_body(2, 1, 2)), (b"data", bytes(8))),
+    "pcm-5-byte": riff_bytes((b"fmt ", fmt_body(1, 1, 5)), (b"data", bytes(10))),
+    "float-2-byte": riff_bytes((b"fmt ", fmt_body(3, 1, 2)), (b"data", bytes(8))),
+    "extensible-other-guid": riff_bytes(
+        (b"fmt ", extensible_fmt_body(1, 1, 2, guid_tail=bytes(12))), (b"data", bytes(8))
+    ),
+    "extensible-too-short": riff_bytes(
+        (b"fmt ", extensible_fmt_body(1, 1, 2)[:24]), (b"data", bytes(8))
+    ),
+}
+
+# the 44-byte header of ``pcm16_wav_bytes``, field by field: (offset, struct code)
+WAV_HEADER_FIELDS = [
+    (0, "4s"), (4, "I"), (8, "4s"), (12, "4s"), (16, "I"), (20, "H"), (22, "H"),
+    (24, "I"), (28, "I"), (32, "H"), (34, "H"), (36, "4s"), (40, "I"),
+]
+CHUNK_IDS = [b"RIFF", b"RIFX", b"RF64", b"WAVE", b"fmt ", b"data", b"LIST", bytes(4)]
+
+
+def header_values(code):
+    if code == "4s":
+        return st.sampled_from(CHUNK_IDS)
+    top = 2 ** (8 * struct.calcsize("<" + code)) - 1
+    return st.integers(0, 8) | st.sampled_from([0xFFFE, top]) | st.integers(0, top)
+
+
+class TestWavReader:
+    @pytest.mark.parametrize("data", READER_CASES.values(), ids=READER_CASES.keys())
+    def test_reader_equals_scipy(self, tmp_path, data):
+        path = tmp_path / "x.wav"
+        path.write_bytes(data)
+        (rate, got), (want_rate, want) = chroma._read_wav(path), scipy_read(path)
+        assert (rate, got.dtype, got.shape) == (want_rate, want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("data", REFUSED_CASES.values(), ids=REFUSED_CASES.keys())
+    def test_unsupported_files_refused_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "x.wav"
+        path.write_bytes(data)
+        with pytest.raises(ChromaError) as info:
+            chroma._read_wav(path)
+        assert str(info.value).startswith(f"{path}: unsupported WAV file: ")
+
+    def test_stereo_data_cut_mid_frame_reads_to_its_last_whole_frame(self, tmp_path):
+        whole, cut = tmp_path / "whole.wav", tmp_path / "cut.wav"
+        data = written_wav(np.int16, 2, 7)
+        whole.write_bytes(data[:-4])  # six frames, the header still says seven
+        cut.write_bytes(data[:-1])
+        got = chroma._read_wav(cut)[1]
+        assert got.shape == (6, 2)
+        assert got.tobytes() == scipy_read(whole)[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(TONE[:28] + struct.pack("<I", 1) + TONE[32:], id="byte-rate-1"),
+            pytest.param(TONE[:4] + bytes(4) + TONE[8:], id="riff-size-0"),
+        ],
+    )
+    def test_byte_rate_and_riff_size_are_not_read(self, tmp_path, data):
+        """scipy refuses the first file and fails on the second."""
+        path = tmp_path / "x.wav"
+        path.write_bytes(data)
+        rate, got = chroma._read_wav(path)
+        want_rate, want = scipy_read(io.BytesIO(TONE))
+        assert (rate, got.dtype, got.tobytes()) == (want_rate, want.dtype, want.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.sampled_from(WAV_HEADER_FIELDS).flatmap(
+            lambda field: st.tuples(st.just(field), header_values(field[1]))
+        ),
+        max_size=3,
+    ),
+    cut=st.integers(0, len(TONE)),
+)
+@example(edits=[((22, "H"), 0)], cut=len(TONE))  # 0 channels
+@example(edits=[((28, "I"), 0), ((32, "H"), 0)], cut=len(TONE))  # 0 block align, 0 bytes/s
+@example(edits=[], cut=4)  # b"RIFF" alone
+def test_malformed_wav_gives_sequence_or_chroma_error(scratch_file, edits, cut):
+    """A WAV with mutated header fields, cut short anywhere, gives a
+    ChromaSequence or a ChromaError, never another error."""
+    data = bytearray(TONE)
+    for (offset, code), value in edits:
+        struct.pack_into("<" + code, data, offset, value)
+    scratch_file.write_bytes(data[:cut])
+    try:
+        seq = extract_chroma_wav(scratch_file, window_size=256, hop_size=128)
+        assert isinstance(seq, ChromaSequence)
+    except ChromaError:
+        pass

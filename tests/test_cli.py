@@ -755,6 +755,10 @@ EDGE_ROWS = [
     ("analyze {f32max}", 0),
     ("extract-chroma {bext}", 0),
     ("extract-chroma {short}", 0),
+    ("extract-chroma {channels0}", 1),
+    ("extract-chroma {align0}", 1),
+    ("extract-chroma {riff}", 1),
+    ("key {channels0}", 1),
     ("analyze {bext}", 0),
     ("extract-chroma {stereo}", 1),
     ("analyze {stereo}", 1),
@@ -778,11 +782,15 @@ def test_edge_inputs_follow_the_policy(tmp_path, capsys, command, code):
         wavfile.write(files[name], 22050, samples)
     files["stereo"] = tmp_path / "stereo.wav"  # a float64 channel mean that overflows
     wavfile.write(files["stereo"], 22050, np.full((8192, 2), 1.7e308))
-    # scipy warns of an unknown chunk before the data, and of a data chunk cut short
+    # an unknown chunk before the data, a data chunk cut short, a header of 0
+    # channels, one of 0 block align (and so 0 bytes a second), and a file of only
+    # its first four bytes
     tone = pcm16_wav_bytes(22050, 8000 * np.sin(np.arange(8192) / 8))
     chunk = b"bext" + struct.pack("<I", 4) + bytes(4)
     riff = struct.pack("<I", len(tone) + len(chunk) - 8)
-    wavs = {"bext": tone[:4] + riff + tone[8:36] + chunk + tone[36:], "short": tone[:-1001]}
+    wavs = {"bext": tone[:4] + riff + tone[8:36] + chunk + tone[36:], "short": tone[:-1001],
+            "channels0": tone[:22] + bytes(2) + tone[24:],
+            "align0": tone[:28] + bytes(6) + tone[34:], "riff": b"RIFF"}
     for name, data in wavs.items():
         files[name] = tmp_path / f"{name}.wav"
         files[name].write_bytes(data)
@@ -914,13 +922,15 @@ class TestTopLevel:
         assert data["energy"] == want.energy
 
     def test_import_does_not_load_scipy(self):
-        """``scipy.io`` is imported only when a WAV is read, so the start-up
-        of every other command does not pay for it."""
+        """No module of scipy is loaded, neither at import nor by reading a WAV:
+        the library reads WAV files itself, and scipy is a test dependency only."""
         code = (
-            "import sys, tonalspace, tonalspace.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+            "import os, sys, tonalspace, tonalspace.cli; "
+            f"code = tonalspace.cli.main(['extract-chroma', {str(GOLDEN / 'tone.wav')!r}, "
+            "'--out', os.devnull]); "
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
-        assert fresh_python(code) == (0, "[]\n", "")
+        assert fresh_python(code) == (0, "0 []\n", "")
 
     def test_import_builds_no_parser(self):
         """The parser is built on the first ``main()`` call, not at import,
