@@ -390,8 +390,8 @@ def extract_chroma_wav(
     ``(round(12 * log2(f / ref_a4)) + 69) mod 12``; one frame is emitted per
     hop and ``frame_rate = sample_rate / hop_size``.  Stereo channels are
     averaged before analysis.  ``window_size`` must be a power of two.
-    The STFT runs in blocks of about 1 MB of samples, so working memory
-    beyond the samples is one frames x band-bins power buffer (WAV formats: ``errors.py``).
+    The STFT runs in blocks of about 1 MB of samples, each folded as it is computed, so
+    working memory beyond the samples and frames is one block (WAV formats: ``errors.py``).
     """
     window_size = _as_int(window_size, "window_size", minimum=2)
     if window_size & (window_size - 1):
@@ -408,6 +408,7 @@ def extract_chroma_wav(
     sample_rate, data = _read_wav(path)
     sample_rate = _as_real(sample_rate, f"{path}: sample rate", positive=True)
     samples = _to_float_samples(data, path)
+    del data  # the file's bytes: only the float samples are read from here on
     if samples.ndim == 2:
         with np.errstate(over="ignore"):  # an infinite mean makes the frames non-finite: refused
             samples = samples.mean(axis=1)
@@ -425,20 +426,19 @@ def extract_chroma_wav(
     pitch_classes = (
         np.round(12.0 * np.log2(freqs[lo:hi] / ref_a4)).astype(int) + 69
     ) % N_BINS
-    fold = np.zeros((hi - lo, N_BINS))
-    fold[np.arange(hi - lo), pitch_classes] = 1.0
+    # band bins grouped by class, each group ascending in frequency; a class with none stays 0
+    order = np.argsort(pitch_classes, kind="stable")
+    classes, starts = np.unique(pitch_classes[order], return_index=True)
 
     window = np.hanning(window_size)
-    segments = np.lib.stride_tricks.sliding_window_view(samples, window_size)
-    segments = segments[::hop_size]
-    # F-ordered: from a C-ordered buffer BLAS sums in another order (last bits)
-    power = np.empty((hi - lo, len(segments))).T
+    segments = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop_size]
+    frames = np.zeros((len(segments), N_BINS))
     block = max(1, 2**17 // window_size)  # frames per FFT, ~1 MB of samples
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused below
         for i in range(0, len(segments), block):
             spectrum = np.fft.rfft(segments[i : i + block] * window, axis=1)
-            power[i : i + block] = np.abs(spectrum[:, lo:hi]) ** 2
-        frames = _readonly(power @ fold)
+            power = np.abs(spectrum[:, lo + order]) ** 2
+            frames[i : i + block, classes] = np.add.reduceat(power, starts, axis=1)
     if not np.isfinite(frames).all():
         raise ChromaError(f"{path}: the spectral power overflows the float range")
-    return ChromaSequence(frames, frame_rate=sample_rate / hop_size)
+    return ChromaSequence(_readonly(frames), frame_rate=sample_rate / hop_size)

@@ -67,8 +67,9 @@ def noise_wav(path, n_samples, sr, dtype, stereo=False):
     wavfile.write(path, sr, sig.astype(dtype))
 
 
-def one_shot_chroma(path, window_size, hop_size, fmax):
-    """Reference chroma: one full-size STFT over all frames, band by mask."""
+def one_shot_power(path, window_size, hop_size, fmax):
+    """Reference spectrogram: one full-size STFT over all frames, band by mask;
+    its (frames, band bins) power and the pitch class of each band bin."""
     sample_rate, data = wavfile.read(path)
     samples = chroma._to_float_samples(data, path)
     if samples.ndim == 2:
@@ -76,13 +77,29 @@ def one_shot_chroma(path, window_size, hop_size, fmax):
     freqs = np.fft.rfftfreq(window_size, 1.0 / sample_rate)
     band = (freqs >= 55.0) & (freqs <= fmax)
     pitch_classes = (np.round(12.0 * np.log2(freqs[band] / 440.0)).astype(int) + 69) % 12
-    fold = np.zeros((band.sum(), 12))
-    fold[np.arange(band.sum()), pitch_classes] = 1.0
     segments = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop_size]
     window = np.hanning(window_size)
-    frames = (np.abs(np.fft.rfft(segments * window, axis=1)) ** 2)[:, band] @ fold
-    frames[frames < 0] = 0.0
+    return (np.abs(np.fft.rfft(segments * window, axis=1)) ** 2)[:, band], pitch_classes
+
+
+def one_shot_chroma(path, window_size, hop_size, fmax):
+    """Reference chroma: the full-size power summed over each class's bins, in
+    ascending frequency (``np.add.reduceat`` over the class-sorted bins)."""
+    power, pitch_classes = one_shot_power(path, window_size, hop_size, fmax)
+    order = np.argsort(pitch_classes, kind="stable")
+    classes, starts = np.unique(pitch_classes[order], return_index=True)
+    frames = np.zeros((len(power), 12))
+    frames[:, classes] = np.add.reduceat(power[:, order], starts, axis=1)
     return frames
+
+
+def dense_fold_chroma(path, window_size, hop_size, fmax):
+    """Chroma by the dense fold: the full-size power times a (band bins, 12) 0/1
+    matrix, whose summation order is the BLAS kernel's."""
+    power, pitch_classes = one_shot_power(path, window_size, hop_size, fmax)
+    fold = np.zeros((len(pitch_classes), 12))
+    fold[np.arange(len(pitch_classes)), pitch_classes] = 1.0
+    return power @ fold
 
 
 CSV_SPECIAL_CELLS = (
@@ -902,7 +919,7 @@ class TestWavExtraction:
 
     # blocks hold max(1, 2**17 // window) frames: 32 at 4096, 128 at 1024,
     # 2048 at 64, 8 at 16384
-    @pytest.mark.parametrize(
+    BLOCK_CASES = pytest.mark.parametrize(
         "window, hop, n_frames, sr, dtype, stereo, fmax",
         [
             pytest.param(4096, 1024, 1, 22050, np.int16, False, 5000.0, id="one-frame"),
@@ -918,6 +935,8 @@ class TestWavExtraction:
             pytest.param(512, 512, 300, 11025, np.int32, True, 3e4, id="above-nyquist"),
         ],
     )
+
+    @BLOCK_CASES
     def test_blocked_stft_equals_one_shot(
         self, tmp_path, window, hop, n_frames, sr, dtype, stereo, fmax
     ):
@@ -926,6 +945,18 @@ class TestWavExtraction:
         seq = extract_chroma_wav(path, window_size=window, hop_size=hop, fmax=fmax)
         assert len(seq) == n_frames
         assert np.array_equal(seq.frames, one_shot_chroma(path, window, hop, fmax))
+
+    @BLOCK_CASES
+    def test_fold_agrees_with_the_dense_fold(
+        self, tmp_path, window, hop, n_frames, sr, dtype, stereo, fmax
+    ):
+        # only the summation order differs: within 1e-14 of each frame's largest bin
+        path = tmp_path / "noise.wav"
+        noise_wav(path, window + (n_frames - 1) * hop + hop // 2, sr, dtype, stereo)
+        frames = extract_chroma_wav(path, window_size=window, hop_size=hop, fmax=fmax).frames
+        dense = dense_fold_chroma(path, window, hop, fmax)
+        assert frames.shape == dense.shape
+        assert (np.abs(frames - dense) <= 1e-14 * dense.max(axis=1, keepdims=True)).all()
 
     def test_working_memory_is_bounded(self, tmp_path):
         # the full spectrogram of a 20 s file would take about 9x the samples
@@ -939,6 +970,20 @@ class TestWavExtraction:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n_samples * 8
+
+    def test_peak_memory_is_near_the_float_samples(self, tmp_path):
+        # 60 s of int16: the file's bytes are freed once converted, and no power buffer
+        # of frames x band bins is held, so the peak is the float samples and little more
+        sr, n_samples = 22050, 22050 * 60
+        path = tmp_path / "minute.wav"
+        noise_wav(path, n_samples, sr, np.int16)
+        tracemalloc.start()
+        try:
+            extract_chroma_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n_samples * 8
 
     @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32, np.float64])

@@ -70,12 +70,12 @@ def one_hot_files(tmp_path):
     return paths
 
 
-def fresh_python(code):
+def fresh_python(code, env=None):
     """Exit code, stdout and stderr of ``python -c code`` in a new interpreter
-    that imports this source tree."""
+    that imports this source tree, under ``env`` (default: this process's)."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(tonalspace.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     return run.returncode, run.stdout, run.stderr
 
@@ -648,6 +648,19 @@ class TestDistance:
 
 
 class TestExtractChroma:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_does_not_depend_on_the_blas_kernel(self, fmt):
+        # the fold sums in numpy's order, not a matmul's: forcing another OpenBLAS
+        # kernel changes no digit (a BLAS that ignores the variable passes trivially)
+        argv = ["extract-chroma", str(GOLDEN / "tone.wav"), "--out-format", fmt]
+        code = f"from tonalspace.cli import main; raise SystemExit(main({argv!r}))"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        default = fresh_python(code, env)[:2]
+        assert default[0] == 0 and default[1]
+        # exit code and stdout only: a BLAS that does not know the core type may
+        # warn on stderr while computing the same bytes
+        assert fresh_python(code, {**env, "OPENBLAS_CORETYPE": "Haswell"})[:2] == default
+
     @pytest.fixture
     def wav_440(self, tmp_path):
         sr = 22050

@@ -4,8 +4,9 @@ The expected outputs under ``tests/data/golden/out/`` were captured from
 the per-frame implementation, before the interval-vector pipeline was
 batched, so a refactor that changes any printed digit fails here.  They
 are gzip-compressed (the float text is long) and compared byte for byte
-after decompression.  Do not rewrite them to make a refactor pass; a
-deliberate change of output format is the only reason to recapture them.
+after decompression.  Do not rewrite them to make a refactor pass; the only
+reasons to recapture them are a deliberate change of output format and a
+named change of summation order, which may move only the last digits of floats.
 ``PYTHONPATH=src python tests/test_golden.py`` writes the file of each case
 that has none; where a file exists with other bytes it writes nothing, prints
 the case name and exits 1, so a case is recaptured by deleting its file first.
