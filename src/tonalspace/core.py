@@ -133,9 +133,15 @@ def as_weights(weights) -> np.ndarray:
     if not 0 < float(arr.min()) <= float(arr.max()) < math.inf:  # a NaN fails it
         raise ChromaError("weights must be finite and strictly positive")
     with np.errstate(over="ignore"):  # a squared distance is at most 4 w.w * _SLACK**2
-        if not math.isfinite(4.0 * _SLACK**2 * float(arr @ arr)):
+        if not math.isfinite(4.0 * _SLACK**2 * float(_dot(arr, arr))):
             raise ChromaError("weights are too large: 4 * sum(w**2) overflows the float range")
     return arr
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Re<a, b> over the last axis: real and imaginary products each summed left to right
+    by ``np.add.reduce``, then added, so no bit depends on the batch or the BLAS kernel."""
+    return np.add.reduce(a.real * b.real, axis=-1) + np.add.reduce(a.imag * b.imag, axis=-1)
 
 
 def _row_blocks(n: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (N_COEFFS, Tiv, _as_floats, _as_int, _as_real, _frozen, _readonly,
+from .core import (N_COEFFS, Tiv, _as_floats, _as_int, _as_real, _dot, _frozen, _readonly,
                    _require_same_weights, _require_single)
 from .errors import ChromaError, DegenerateInputError, InsufficientInputError
 
@@ -28,14 +28,6 @@ HARTE_COEFFS = (3, 4, 5)
 def _per_vector(values):
     """A float for one vector, the (N,) array for a batch."""
     return float(values) if np.ndim(values) == 0 else values
-
-
-def _sqnorm(coeffs):
-    """Squared l2 norm over the last axis, summed per row in ``np.linalg.norm``'s
-    order (real squares, then imaginary); ``norm(axis=1)`` differs in the last bit."""
-    re = coeffs.real[..., None, :]
-    im = coeffs.imag[..., None, :]
-    return (re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
 
 
 def qualities(t: Tiv) -> np.ndarray:
@@ -76,7 +68,8 @@ def dissonance(t: Tiv):
     and silence score 1.  The l2 norm is taken over all six complex
     coefficients.
     """
-    return _per_vector(1.0 - np.sqrt(_sqnorm(t.coeffs)) / np.linalg.norm(t.weights))
+    norm = np.sqrt(_dot(t.coeffs, t.coeffs))
+    return _per_vector(1.0 - norm / np.sqrt(_dot(t.weights, t.weights)))
 
 
 def euclid(t1: Tiv, t2: Tiv):
@@ -89,7 +82,8 @@ def euclid(t1: Tiv, t2: Tiv):
     _require_same_weights(t1, t2)
     if t1.coeffs.ndim == t2.coeffs.ndim == 2 and len(t1) != len(t2):
         raise ChromaError(f"euclid needs batches of one length, got {len(t1)} and {len(t2)}")
-    return _per_vector(np.sqrt(_sqnorm(t1.coeffs - t2.coeffs)))
+    d = t1.coeffs - t2.coeffs
+    return _per_vector(np.sqrt(_dot(d, d)))
 
 
 def cosine_similarity(t1: Tiv, t2: Tiv) -> float:
@@ -102,11 +96,10 @@ def cosine_similarity(t1: Tiv, t2: Tiv) -> float:
     profile), where the angle is undefined.
     """
     _require_single("cosine_similarity", t1, t2)
-    n1 = np.linalg.norm(t1.coeffs)
-    n2 = np.linalg.norm(t2.coeffs)
+    n1, n2 = np.sqrt(_dot(t1.coeffs, t1.coeffs)), np.sqrt(_dot(t2.coeffs, t2.coeffs))
     if n1 == 0.0 or n2 == 0.0:
         raise DegenerateInputError("cosine is undefined for a zero-norm vector")
-    return float(np.real(np.vdot(t1.coeffs, t2.coeffs)) / (n1 * n2))
+    return float(_dot(t1.coeffs, t2.coeffs) / (n1 * n2))
 
 
 def cosine_distance(t1: Tiv, t2: Tiv) -> float:
@@ -179,5 +172,6 @@ def harmonic_change(tivs, threshold="adaptive", coeffs=None) -> HarmonicChangeSe
         matrix = matrix[:, np.unique(ks) - 1]
 
     values = np.zeros(len(matrix))
-    values[1:-1] = np.sqrt(np.sum(np.abs(matrix[2:] - matrix[:-2]) ** 2, axis=1))
+    d = matrix[2:] - matrix[:-2]
+    values[1:-1] = np.sqrt(_dot(d, d))
     return HarmonicChangeSeries(_readonly(values), threshold)

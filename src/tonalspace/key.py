@@ -31,6 +31,7 @@ from .core import (
     Tiv,
     _as_floats,
     _as_real,
+    _dot,
     _frozen,
     _readonly,
     _require_single,
@@ -38,7 +39,6 @@ from .core import (
     as_weights,
     tiv_from_chroma,
 )
-from .descriptors import _sqnorm
 from .errors import ChromaError, DegenerateInputError, UnknownProfileError
 
 PROFILE_DIR_ENV = "TONALSPACE_PROFILE_DIR"
@@ -176,9 +176,9 @@ def estimate_key(t: Tiv, profiles: KeyProfileSet) -> KeyResult:
     _require_single("estimate_key", t)
     if t.is_silent:
         raise DegenerateInputError("cannot estimate a key for silence")
-    if _sqnorm(t.coeffs) == 0.0:
+    if _dot(t.coeffs, t.coeffs) == 0.0:
         raise DegenerateInputError("cannot estimate a key for a zero-norm vector")
     references = profiles.references(t.weights).coeffs
     with np.errstate(over="ignore"):  # an overflowing alpha * T makes a minor distance inf
-        queries = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None]
-        return KeyResult(_readonly(np.sqrt(_sqnorm(queries - references))))
+        d = t.coeffs * np.array([1.0, profiles.alpha]).repeat(12)[:, None] - references
+        return KeyResult(_readonly(np.sqrt(_dot(d, d))))

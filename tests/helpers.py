@@ -6,6 +6,8 @@ implementation -- so equivalence tests are meaningful.
 """
 
 import cmath
+import functools
+import operator
 import struct
 
 import numpy as np
@@ -26,6 +28,15 @@ def oracle_coeffs(chroma, weights=WEIGHTS):
             acc += (c[n] / total) * cmath.exp(-2j * cmath.pi * k * n / 12)
         out.append(weights[k - 1] * acc)
     return out
+
+
+def fixed_order_dot(a, b) -> float:
+    """Re<a, b> of two vectors in plain Python: the real products summed left to
+    right from the first, then the imaginary products, then the two sums added."""
+    pairs = [(complex(x), complex(y)) for x, y in zip(a, b)]
+    re = functools.reduce(operator.add, [x.real * y.real for x, y in pairs])
+    im = functools.reduce(operator.add, [x.imag * y.imag for x, y in pairs])
+    return re + im
 
 
 def binary_chroma(pitch_classes):

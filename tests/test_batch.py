@@ -3,9 +3,11 @@
 A batch of N chroma rows must give, bit for bit, what N single-frame calls
 give, and both must match the naive-DFT oracle.  Dissonance, harmonic-change
 peaks and key distances are also compared with the per-vector formulas they
-replaced (``np.linalg.norm`` per vector, a Python peak loop), which fixes
-the floating-point summation order the batched forms must keep.
+replaced (a plain-Python left-to-right sum per vector, a Python peak loop),
+which fixes the floating-point summation order the batched forms must keep.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from tonalspace import (
 )
 from tonalspace import core
 
-from helpers import oracle_coeffs
+from helpers import fixed_order_dot, oracle_coeffs
 
 QUALITIES = (chromaticity, diatonicity, wholetoneness, dissonance)
 
@@ -109,9 +111,8 @@ def test_dissonance_matches_per_vector_norm(rng):
     frames = rng.uniform(0.0, 1.0, (5000, 12)) * rng.uniform(1e-3, 1e3, (5000, 1))
     frames[rng.uniform(size=frames.shape) < 0.2] = 0.0
     batch = tiv_from_chroma(frames)
-    want = [
-        1.0 - np.linalg.norm(c) / np.linalg.norm(batch.weights) for c in batch.coeffs
-    ]
+    w_norm = math.sqrt(fixed_order_dot(batch.weights, batch.weights))
+    want = [1.0 - math.sqrt(fixed_order_dot(c, c)) / w_norm for c in batch.coeffs]
     assert np.array_equal(dissonance(batch), want)
 
 
@@ -128,8 +129,8 @@ def test_key_distances_match_per_reference_norm(rng):
             t = tiv_from_chroma(rng.uniform(0.0, 1.0, 12))
             q = t.coeffs
             want = [
-                np.linalg.norm((q * profiles.alpha if r >= 12 else q) - refs[r])
-                for r in range(24)
+                math.sqrt(fixed_order_dot(d, d))
+                for d in [(q * profiles.alpha if r >= 12 else q) - refs[r] for r in range(24)]
             ]
             assert np.array_equal(estimate_key(t, profiles).distances, want)
 

@@ -647,19 +647,31 @@ class TestDistance:
         assert main(["distance", str(one_hot_files[0])]) == 2
 
 
+BLAS_CASES = {
+    "csv": ["extract-chroma", str(GOLDEN / "tone.wav"), "--out-format", "csv"],
+    "json": ["extract-chroma", str(GOLDEN / "tone.wav"), "--out-format", "json"],
+    "analyze-csv": ["analyze", str(GOLDEN / "song.csv")],
+    "analyze-json": ["analyze", str(GOLDEN / "song.csv"), "--out-format", "json"],
+    "distance-cosine": [
+        "distance", str(GOLDEN / "song.csv"), str(GOLDEN / "clip.json"), "--metric", "cosine",
+    ],
+}
+
+
 class TestExtractChroma:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_output_does_not_depend_on_the_blas_kernel(self, fmt):
-        # the fold sums in numpy's order, not a matmul's: forcing another OpenBLAS
-        # kernel changes no digit (a BLAS that ignores the variable passes trivially)
-        argv = ["extract-chroma", str(GOLDEN / "tone.wav"), "--out-format", fmt]
-        code = f"from tonalspace.cli import main; raise SystemExit(main({argv!r}))"
+    @pytest.mark.parametrize("case", sorted(BLAS_CASES))
+    def test_output_does_not_depend_on_the_blas_kernel(self, case):
+        # the fold and every norm sum in numpy's order, not a BLAS kernel's: forcing
+        # another OpenBLAS kernel changes no digit (a BLAS that ignores the variable
+        # passes trivially)
+        code = f"from tonalspace.cli import main; raise SystemExit(main({BLAS_CASES[case]!r}))"
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         default = fresh_python(code, env)[:2]
         assert default[0] == 0 and default[1]
         # exit code and stdout only: a BLAS that does not know the core type may
         # warn on stderr while computing the same bytes
-        assert fresh_python(code, {**env, "OPENBLAS_CORETYPE": "Haswell"})[:2] == default
+        for kernel in ("Haswell", "Zen", "Sandybridge"):
+            assert fresh_python(code, {**env, "OPENBLAS_CORETYPE": kernel})[:2] == default
 
     @pytest.fixture
     def wav_440(self, tmp_path):

@@ -42,7 +42,7 @@ import tonalspace.chroma as chroma_module
 import tonalspace.core as core_module
 import tonalspace.descriptors as descriptors_module
 import tonalspace.key as key_module
-from helpers import WHOLE_TONE, binary_chroma, oracle_coeffs, random_chroma
+from helpers import WHOLE_TONE, binary_chroma, fixed_order_dot, oracle_coeffs, random_chroma
 
 chroma_lists = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -318,6 +318,23 @@ class TestTivConstruction:
 def test_malformed_vectors_are_refused(call, message):
     with pytest.raises(ChromaError, match=message):
         call()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_dot_sums_each_row_alone_left_to_right(rng, scale):
+    """Every norm, distance and inner product is ``core._dot``: a batch row gets the
+    bits of the one-vector call and of a plain-Python left-to-right sum, also where
+    the products underflow or overflow."""
+    n = 5000
+    a = (rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))) * scale
+    b = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+    a[rng.random(n) < 0.1] = 0.0
+    b[:100] = 0.0
+    with np.errstate(over="ignore"):  # at 1e300 the squares overflow to inf
+        for x, y in ((a, a), (a, b), (a.real, a.real)):
+            got = core_module._dot(x, y)
+            assert np.array_equal(got, [core_module._dot(p, q) for p, q in zip(x, y)])
+            assert np.array_equal(got, [fixed_order_dot(p, q) for p, q in zip(x, y)])
 
 
 class TestTivSerialization:

@@ -11,6 +11,7 @@ from tonalspace import (
     DegenerateInputError,
     HarmonicChangeSeries,
     InsufficientInputError,
+    Tiv,
     WeightMismatchError,
     chromaticity,
     cosine_distance,
@@ -316,6 +317,20 @@ class TestHarmonicChange:
             assert series.values[m] == pytest.approx(
                 euclid(tivs[m - 1], tivs[m + 1]), abs=1e-12
             )
+
+    @pytest.mark.parametrize("subset", [None, HARTE_COEFFS], ids=["all", "harte"])
+    def test_values_are_the_straddling_euclid_bit_for_bit(self, rng, subset):
+        """The value at m is euclid(m - 1, m + 1), summed in the same order; under a
+        subset, euclid of the vectors with every other coefficient set to 0."""
+        frames = rng.uniform(0.0, 1.0, (2000, 12)) * rng.uniform(1e-3, 1e3, (2000, 1))
+        frames[rng.uniform(size=frames.shape) < 0.2] = 0.0
+        frames[rng.uniform(size=2000) < 0.05] = 0.0
+        batch = tiv_from_chroma(frames)
+        keep = np.isin(np.arange(1, 7), subset or range(1, 7))
+        masked = Tiv(np.where(keep, batch.coeffs, 0.0), batch.energy, batch.weights)
+        values = harmonic_change(batch, coeffs=subset).values
+        want = [euclid(masked[m - 1], masked[m + 1]) for m in range(1, 1999)]
+        assert np.array_equal(values[1:-1], want)
 
     def test_peaks_are_strict_local_maxima_above_threshold(self, rng):
         tivs = [tiv_from_chroma(random_chroma(rng)) for _ in range(40)]

@@ -27,7 +27,7 @@ from tonalspace import (
 )
 
 import tonalspace.key as key_module
-from tonalspace.descriptors import _sqnorm
+from tonalspace.core import _dot
 from tonalspace.key import PITCH_CLASS_NAMES, PROFILE_DIR_ENV, load_profile_file
 
 from helpers import MAJOR_TRIAD, random_chroma
@@ -320,7 +320,7 @@ class TestEstimateKey:
             q = tiv_from_chroma(x, w)
             refs = tiv_from_chroma(np.array(rotations), w).coeffs
             scaled = q.coeffs * np.concatenate([np.ones(12), np.full(12, ps.alpha)])[:, None]
-            want = np.sqrt(_sqnorm(scaled - refs))
+            want = np.sqrt(_dot(scaled - refs, scaled - refs))
             assert estimate_key(q, ps).distances.tobytes() == want.tobytes()
             assert ps.references(w) is ps.references(list(w))
 
@@ -382,10 +382,9 @@ class TestKeyProfileSet:
             ((G_MAJOR, "C major", 0.5), "numbers"),
             # the profiles are checked before alpha
             ((np.ones(11), np.ones(12), -1.0), "12 bins"),
-            ((G_MAJOR, np.ones(12), -1.0), "alpha"),
         ],
         ids=["alpha-nan", "alpha-negative", "alpha-zero", "alpha-string", "profile-11",
-             "profile-negative", "profile-string", "profile-first", "alpha-second"],
+             "profile-negative", "profile-string", "profile-first"],
     )
     def test_a_hand_built_set_is_checked(self, args, message):
         with pytest.raises(ChromaError, match=message):
