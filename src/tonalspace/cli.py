@@ -3,7 +3,7 @@
 Subcommands compose the library into file-in/file-out pipelines:
 
   analyze         chroma (CSV/JSON) or WAV in -> per-frame descriptor table,
-                  harmonic-change curve/peaks, global qualities + key estimate
+                  harmonic-change curve/peaks, global descriptors + key estimate
   key             global key estimate per input, printed as "<index> <label>"
                   (one "<path><TAB><index> <label>" line per input given several)
   combine         energy-weighted mix of the inputs' interval vectors
@@ -49,15 +49,17 @@ from .chroma import (
 from .core import DEFAULT_WEIGHTS, _as_real, as_weights, combine, tiv_from_chroma
 from .descriptors import (
     HARTE_COEFFS,
+    chromaticity,
     cosine_distance,
     cosine_similarity,
+    diatonicity,
     dissonance,
     euclid,
     harmonic_change,
-    qualities,
+    wholetoneness,
 )
 from .errors import ChromaError, DegenerateInputError, TonalSpaceError, UnknownProfileError
-from .key import build_profile_set, estimate_key
+from .key import BUNDLED_PROFILES, build_profile_set, estimate_key
 
 ANALYZE_COLUMNS = (
     "frame",
@@ -173,10 +175,10 @@ def cmd_analyze(args) -> int:
     seq = window_average(seq, args.window_avg)
     n = len(seq)
     tivs = tiv_from_chroma(seq.frames, weights)
-    q = qualities(tivs)
     subset = HARTE_COEFFS if args.hchange_coeffs == "harte" else None
     series = harmonic_change(tivs, threshold=threshold, coeffs=subset)
-    columns = [q[:, 0], q[:, 4], q[:, 5], dissonance(tivs), series.values]
+    columns = [chromaticity(tivs), diatonicity(tivs), wholetoneness(tivs), dissonance(tivs),
+               series.values]
     peaks = series.peaks.tolist()
     del tivs  # freed before the report, which needs only the columns
 
@@ -206,8 +208,8 @@ def cmd_analyze(args) -> int:
         },
         "global": {
             "tiv": g_tiv.to_dict(),
-            **dict(zip(ANALYZE_COLUMNS[2:5], qualities(g_tiv)[[0, 4, 5]].tolist())),
-            "dissonance": dissonance(g_tiv),
+            **dict(zip(ANALYZE_COLUMNS[2:6], (chromaticity(g_tiv), diatonicity(g_tiv),
+                                              wholetoneness(g_tiv), dissonance(g_tiv)))),
             "key": key_json,
         },
     }
@@ -289,13 +291,14 @@ _STFT_OPTIONS = (
 _INPUT_OPTIONS = (
     ("--format", dict(choices=("auto", "csv", "json", "wav"), default="auto",
                       help="input format (default: by file extension)")),
-    ("--weights", dict(metavar="W1,...,W6", help="override the 6 interval weights "
-                       "(default 3,8,11.5,15,14.5,7.5)")),
+    ("--weights", dict(metavar="W1,...,W6", help="override the 6 interval weights (default "
+                       f"{','.join(f'{w:g}' for w in DEFAULT_WEIGHTS)})")),
     *_STFT_OPTIONS,
 )
 _PROFILE_OPTIONS = (
-    ("--profile", dict(default="temperley", help="key profile set: temperley, shaath, or "
-                       "<name> for <name>.json in $TONALSPACE_PROFILE_DIR (default: temperley)")),
+    ("--profile", dict(default="temperley", help="key profile set: "
+                       f"{', '.join(BUNDLED_PROFILES)}, or <name> for <name>.json in "
+                       "$TONALSPACE_PROFILE_DIR (default: temperley)")),
     ("--alpha", dict(type=float, help="override the profile set's minor-mode bias")),
 )
 _OUT = ("--out", dict(help="output file (default: stdout)"))

@@ -121,34 +121,21 @@ def _profile_path(name: str) -> str:
     return os.path.join(_BUNDLED_DIR, f"{name}.json")
 
 
-def _read_profile_set(path, name: str) -> KeyProfileSet:
-    """The set in a profile file; a refusal of its fields starts ``profile file <path>: ``."""
+def build_profile_set(name: str, alpha_override=None) -> KeyProfileSet:
+    """Load the named key profile set: one of ``BUNDLED_PROFILES`` or, for a bare name, any
+    ``<name>.json`` under ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.
+    The file holds {"name": str, "major": [12 numbers], "minor": [12 numbers], "alpha":
+    positive finite number}, extra keys (e.g. "source") and a leading BOM ignored; a refusal
+    of its fields starts ``profile file <path>: ``.  ``alpha_override``, when given, replaces
+    the file's alpha (still checked).  The set holds no weights: its references follow each
+    query's.  A set of other arrays is a ``KeyProfileSet``.
+    """
+    path = _profile_path(name)
     data = _json_object(path, "profile file", ("name", "major", "minor", "alpha"))
     try:
-        return KeyProfileSet(name, data["major"], data["minor"], data["alpha"])
+        ps = KeyProfileSet(name, data["major"], data["minor"], data["alpha"])
     except ChromaError as exc:
         raise ChromaError(f"profile file {path}: {exc}") from None
-
-
-def load_profile_file(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """Read and check a profile data file into float ``(major, minor, alpha)``.
-
-    Schema: {"name": str, "major": [12 numbers], "minor": [12 numbers],
-    "alpha": positive finite number}; extra keys (e.g. "source") and a
-    leading BOM are ignored.  They are checked once, by the KeyProfileSet they build.
-    """
-    ps = _read_profile_set(path, os.fspath(path))
-    return ps.major_profile, ps.minor_profile, ps.alpha
-
-
-def build_profile_set(name: str, alpha_override=None) -> KeyProfileSet:
-    """Load the named key profile set: one of the bundled sets ("temperley",
-    alpha 0.2; "shaath", alpha 0.55) or, for a bare name, any ``<name>.json`` under
-    ``TONALSPACE_PROFILE_DIR``; another name raises UnknownProfileError.  ``alpha_override``,
-    when given, replaces the file's alpha (still checked).  The set holds no weights: its
-    references follow each query's.  A set of other arrays is a ``KeyProfileSet``.
-    """
-    ps = _read_profile_set(_profile_path(name), name)
     if alpha_override is None:
         return ps
     return KeyProfileSet(name, ps.major_profile, ps.minor_profile, alpha_override)

@@ -32,8 +32,7 @@ from tonalspace import (
 )
 from tonalspace import cli, core
 from tonalspace.cli import ANALYZE_COLUMNS, main
-from tonalspace.errors import ChromaError
-from tonalspace.key import load_profile_file
+from tonalspace.errors import ChromaError, UnknownProfileError
 
 from helpers import MINOR_COLLECTION, WHOLE_TONE, binary_chroma, pcm16_wav_bytes
 
@@ -835,8 +834,12 @@ def test_edge_inputs_follow_the_policy(tmp_path, capsys, command, code):
 READ_FAILS = "cannot read {what} {path}: "
 ALL_LOADERS = ("csv", "json", "profile")
 UNREADABLE_ROWS = [
-    ("missing", None,
-     dict.fromkeys(ALL_LOADERS, READ_FAILS + "[Errno 2] No such file or directory: {path!r}")),
+    ("missing", None, {
+        **dict.fromkeys(("csv", "json"), READ_FAILS + "[Errno 2] No such file or directory: "
+                        "{path!r}"),
+        # a profile name with no file is unknown: a usage error
+        "profile": "unknown profile 'house'; use one of temperley, shaath or provide house.json "
+                   "in $TONALSPACE_PROFILE_DIR"}),
     ("bad-utf-8", b'{"a":\n \xff}', dict.fromkeys(
         ALL_LOADERS, READ_FAILS + "'utf-8' codec can't decode byte 0xff in position 7: "
         "invalid start byte")),
@@ -850,7 +853,8 @@ UNREADABLE_ROWS = [
 LOADERS = {
     "csv": ("chroma CSV", load_chroma_csv, "c.csv"),
     "json": ("chroma JSON", load_chroma_json, "c.json"),
-    "profile": ("profile file", load_profile_file, "house.json"),
+    # the profile set named by the file's stem, read through $TONALSPACE_PROFILE_DIR
+    "profile": ("profile file", lambda path: build_profile_set(Path(path).stem), "house.json"),
 }
 
 
@@ -862,24 +866,20 @@ LOADERS = {
 )
 def test_unreadable_input_files(tmp_path, capsys, monkeypatch, data, kind, template):
     """Every loader refuses an unreadable file in one wording, and main prints
-    it as one error line with exit code 1."""
+    it as one error line with exit code 1 (2 for an unknown profile)."""
     what, load, name = LOADERS[kind]
     path = str(tmp_path / name)
     if data is not None:
         Path(path).write_bytes(data)
     message = template.format(what=what, path=path)
-    with pytest.raises(ChromaError) as info:
-        load(path)
-    assert str(info.value) == message
     argv = ["analyze", path]
     if kind == "profile":
         monkeypatch.setenv("TONALSPACE_PROFILE_DIR", str(tmp_path))
         argv = ["key", str(GOLDEN / "clip.json"), "--profile", "house"]
-        if data is None:  # a profile name with no file is unknown: a usage error
-            assert main(argv) == 2
-            assert "unknown profile 'house'" in capsys.readouterr().err
-            return
-    assert main(argv) == 1
+    with pytest.raises(ChromaError) as info:
+        load(path)
+    assert str(info.value) == message
+    assert main(argv) == (2 if isinstance(info.value, UnknownProfileError) else 1)
     assert capsys.readouterr().err == f"tonalspace: error: {message}\n"
 
 
@@ -1057,13 +1057,28 @@ def describe_parser(parser):
 # stage call that leaves cli goes untimed and its time falls into cli.self_s.  A
 # change that moves stage calls out of cli edits these sets with the benchmark.
 BOUND_IN_CLI = {
-    "build_profile_set", "dissonance", "estimate_key", "extract_chroma_wav", "global_chroma",
-    "harmonic_change", "load_chroma_csv", "load_chroma_json", "tiv_from_chroma",
-    "window_average",
+    "build_profile_set", "chromaticity", "diatonicity", "dissonance", "estimate_key",
+    "extract_chroma_wav", "global_chroma", "harmonic_change", "load_chroma_csv",
+    "load_chroma_json", "tiv_from_chroma", "wholetoneness", "window_average",
 }
 
 
 def test_cli_binds_the_stage_calls_the_benchmark_times():
     bound = {name for name in spans.WRAPPED if hasattr(cli, name)}
     assert bound == BOUND_IN_CLI
-    assert set(spans.WRAPPED) - bound == {"chromaticity", "diatonicity", "wholetoneness"}
+    assert set(spans.WRAPPED) - bound == set()
+
+
+def test_analyze_takes_each_quality_from_its_named_function(monkeypatch):
+    """The quality columns and global fields come from the four functions cli binds,
+    looked up when analyze runs, so a wrapper set after import sees every call."""
+    fixture = GOLDEN.parent / "fixture.csv"
+    shapes = {name: [] for name in ("chromaticity", "diatonicity", "wholetoneness", "dissonance")}
+    for name, seen in shapes.items():
+        def spy(t, real=getattr(cli, name), seen=seen):
+            seen.append(t.coeffs.shape)
+            return real(t)
+        monkeypatch.setattr(cli, name, spy)
+    assert main(["analyze", str(fixture)]) == 0
+    n = len(load_chroma_csv(fixture))
+    assert shapes == dict.fromkeys(shapes, [(n, 6), (6,)])

@@ -28,7 +28,7 @@ from tonalspace import (
 
 import tonalspace.key as key_module
 from tonalspace.core import _dot
-from tonalspace.key import PITCH_CLASS_NAMES, PROFILE_DIR_ENV, load_profile_file
+from tonalspace.key import PITCH_CLASS_NAMES, PROFILE_DIR_ENV
 
 from helpers import MAJOR_TRIAD, random_chroma
 
@@ -164,16 +164,18 @@ class TestProfileSets:
         # bundled names still resolve when absent from the override dir
         assert build_profile_set("temperley").alpha == 0.2
 
-    def test_load_profile_file_returns_checked_floats(self, tmp_path):
+    def test_profile_file_builds_checked_floats(self, tmp_path, monkeypatch):
         path = tmp_path / "ints.json"
         data = {"name": "ints", "major": list(range(12)), "minor": [1] * 12, "alpha": 2}
         # a leading BOM is ignored
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps(data).encode())
-        major, minor, alpha = load_profile_file(path)
-        for profile, want in ((major, data["major"]), (minor, data["minor"])):
+        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
+        ps = build_profile_set("ints")
+        for profile, want in ((ps.major_profile, data["major"]),
+                              (ps.minor_profile, data["minor"])):
             assert isinstance(profile, np.ndarray) and profile.dtype == np.float64
             assert profile.shape == (12,) and profile.tolist() == want
-        assert type(alpha) is float and alpha == 2.0
+        assert type(ps.alpha) is float and ps.alpha == 2.0
 
     @pytest.mark.parametrize(
         ("data", "message"),
@@ -187,12 +189,14 @@ class TestProfileSets:
         ],
         ids=["crlf", "bom", "bom-bad-byte"],
     )
-    def test_profile_read_errors_are_positioned_in_the_decoded_text(self, tmp_path, data, message):
+    def test_profile_read_errors_are_positioned_in_the_decoded_text(
+            self, tmp_path, monkeypatch, data, message):
         # positions count the text as read: the BOM dropped, CRLF read as LF
         path = tmp_path / "p.json"
         path.write_bytes(data)
+        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
         with pytest.raises(ChromaError) as info:
-            load_profile_file(path)
+            build_profile_set("p")
         assert str(info.value) == f"cannot read profile file {path}: {message}"
 
     def test_malformed_profile_file(self, tmp_path, monkeypatch):
