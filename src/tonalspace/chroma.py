@@ -326,7 +326,7 @@ def window_average(seq: ChromaSequence, n: int) -> ChromaSequence:
     return ChromaSequence(_readonly(blocks), frame_rate=rate)
 
 
-_WAV_DTYPES = {(1, 1): "u1", (1, 2): "<i2", (1, 3): "<i4", (1, 4): "<i4", (1, 8): "<i8",
+_WAV_DTYPES = {(1, 1): "u1", (1, 2): "<i2", (1, 3): "<i4", (1, 4): "<i4",
                (3, 4): "<f4", (3, 8): "<f8"}  # (format tag: 1 PCM, 3 float; sample bytes)
 
 
@@ -364,16 +364,14 @@ def _read_wav(path):
 
 
 def _to_float_samples(data: np.ndarray, path) -> np.ndarray:
-    """Normalize WAV samples to float64 in about [-1, 1]; b-bit PCM is scaled by 2**(1 - b)."""
+    """``_WAV_DTYPES`` samples as float64 in about [-1, 1]: b-bit PCM scaled by 2**(1 - b)."""
     if data.dtype == np.uint8:  # unsigned, centred on 128
         return np.multiply(np.subtract(data, 128.0), 2.0**-7)
     if data.dtype in (np.int16, np.int32):  # int32 also covers 24-bit PCM
         return np.multiply(data, 2.0 ** (1 - 8 * data.itemsize))
-    if data.dtype in (np.float32, np.float64):
-        if not np.isfinite(data).all():
-            raise ChromaError(f"{path}: WAV samples must be finite (no NaN or infinity)")
-        return data.astype(np.float64)
-    raise ChromaError(f"{path}: unsupported WAV sample format {data.dtype}")
+    if not np.isfinite(data).all():
+        raise ChromaError(f"{path}: WAV samples must be finite (no NaN or infinity)")
+    return data.astype(np.float64)
 
 
 def extract_chroma_wav(

@@ -261,9 +261,9 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
     taken and scaled by ``weights``.  The rows go through the FFT in blocks
     of ``_BLOCK_ROWS`` into one (N, 6) array, so working memory beyond the
     result is one block; each row is transformed on its own, so blocks do
-    not change the bits.  An all-zero row yields the zero vector with
-    energy 0 (silence convention) so framewise pipelines stay total over
-    real audio.  A row whose sum overflows raises ChromaError.
+    not change the bits.  An all-zero row divides by 1.0 into the zero vector with energy 0
+    (silence convention; ``Tiv`` checks it) so framewise pipelines stay total over real
+    audio.  A row whose sum overflows raises ChromaError.
     """
     c = _as_bins(chroma, ndims=(1, 2))
     w = as_weights(weights)
@@ -277,8 +277,6 @@ def tiv_from_chroma(chroma, weights=DEFAULT_WEIGHTS) -> Tiv:
     for rows in _row_blocks(len(frames)):
         spectrum = np.fft.fft(frames[rows] / scale[rows], axis=1)
         coeffs[rows] = spectrum[:, 1 : N_COEFFS + 1] * w
-    if silent.any():
-        coeffs[silent] = 0.0
     energy = energy[0] if c.ndim == 1 else _readonly(energy)
     return Tiv(coeffs=_readonly(out), energy=energy, weights=w)
 
@@ -303,11 +301,11 @@ def _require_same_weights(a: Tiv, b: Tiv) -> None:
 
 
 def combine(tivs) -> Tiv:
-    """Mix two or more vectors, each weighted by its energy.
+    """Mix two or more vectors, each weighted by its share of the summed energy.
 
-    Equivalent to building one vector from the summed raw chromas, computed
-    directly in coefficient space.  The result's energy is the sum of the
-    operand energies; a sum beyond the float range raises ChromaError.
+    As one vector built from the summed raw chromas.  Silence is zeros (``Tiv`` checks it), so a
+    mix with silence or of two equal halves returns the operand's coefficients exactly.  The
+    energy is the sum of the operand energies; a sum beyond the float range raises ChromaError.
     """
     ts = list(tivs)
     if len(ts) < 2:
@@ -316,12 +314,9 @@ def combine(tivs) -> Tiv:
     energies = np.array([t.energy for t in ts])
     if not energies.any():
         raise DegenerateInputError("cannot combine: all operands are silent")
-    with np.errstate(over="ignore", invalid="ignore"):  # Tiv refuses an overflow
+    with np.errstate(over="ignore"):  # Tiv refuses an infinite total
         total = float(energies.sum())
-        coeffs = sum(t.coeffs * a for t, a in zip(ts, energies)) / total
-        if math.isfinite(total) and not np.isfinite(coeffs).all():
-            # only the energy-weighted sum overflowed: weight by shares instead
-            coeffs = sum(t.coeffs * (a / total) for t, a in zip(ts, energies))
+    coeffs = sum(t.coeffs * (a / total) for t, a in zip(ts, energies))
     return Tiv(coeffs=_readonly(coeffs), energy=total, weights=ts[0].weights)
 
 

@@ -187,6 +187,20 @@ class TestTivConstruction:
         assert t.energy == 0.0
         assert np.array_equal(t.coeffs, np.zeros(6, dtype=complex))
 
+    def test_silent_rows_are_zero_bytes(self, rng):
+        """Silence is the zero vector by arithmetic: every byte of a silent row's
+        coefficients is 0, with no -0.0 left in it."""
+        signed = np.where(np.arange(12) % 2, -0.0, 0.0)
+        for row in (np.zeros(12), -np.zeros(12), signed):
+            assert not tiv_from_chroma(row).coeffs.view(np.uint64).any()
+        for frames in (np.zeros((5, 12)), np.vstack([-np.zeros(12), signed, np.zeros(12)])):
+            assert not tiv_from_chroma(frames).coeffs.view(np.uint64).any()
+        batch = rng.random((64, 12))
+        batch[3], batch[17], batch[40] = 0.0, -0.0, signed
+        t = tiv_from_chroma(batch)
+        assert np.flatnonzero(t.is_silent).tolist() == [3, 17, 40]
+        assert not t.coeffs[[3, 17, 40]].view(np.uint64).any()
+
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_bits_equal_the_reference_formula(self, rng, scale):
         """Each row divided by ``np.where(silent, 1.0, energy)``, then every silent
@@ -416,12 +430,19 @@ class TestCombine:
         assert mixed.energy == 3.0
 
     def test_silent_operand_is_neutral(self, rng):
-        c = random_chroma(rng)
-        t = tiv_from_chroma(c)
         silent = tiv_from_chroma(np.zeros(12))
-        mixed = combine([t, silent])
-        assert np.allclose(mixed.coeffs, t.coeffs, atol=1e-15)
-        assert mixed.energy == t.energy
+        for _ in range(20):
+            t = tiv_from_chroma(random_chroma(rng))
+            mixed = combine([t, silent])
+            assert np.array_equal(mixed.coeffs, t.coeffs)
+            assert mixed.energy == t.energy
+
+    def test_equal_halves_give_the_operand(self, rng):
+        for _ in range(20):
+            t = tiv_from_chroma(random_chroma(rng))
+            mixed = combine([t, t])
+            assert np.array_equal(mixed.coeffs, t.coeffs)
+            assert mixed.energy == 2 * t.energy
 
     def test_needs_two_operands(self):
         t = tiv_from_chroma(binary_chroma([0]))

@@ -3,10 +3,12 @@
 The expected outputs under ``tests/data/golden/out/`` were first captured
 from the per-frame implementation, before the interval-vector pipeline was
 batched.  ``key-song-weights`` was added when key references came to follow
-the query's weights.  Two named changes of summation order have recaptured
+the query's weights.  Three named changes of summation order have recaptured
 files since, each moving only the last digits of floats: the per-block STFT
-fold recaptured the five WAV-derived files, and the one fixed-order inner
-product the 13 ``analyze-*`` files.  So a refactor that changes any printed
+fold recaptured the five WAV-derived files, the one fixed-order inner
+product the 13 ``analyze-*`` files, and ``combine`` weighting each operand by
+its energy share (the division by the total moved inside the sum)
+``combine-two`` and ``combine-three-out``.  So a refactor that changes any printed
 digit fails here.  They are gzip-compressed (the float text is long) and
 compared byte for byte after decompression.  Do not rewrite them to make a
 refactor pass; the only reasons to recapture them are a deliberate change of
